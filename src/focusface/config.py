@@ -56,6 +56,10 @@ class RunConfig:
     data_dir: str = ""
     out_dir: str = ""
 
+    def __post_init__(self):
+        # a value TrainConfig or LossConfig rejects fails here, at load time
+        self.train_config()
+
     def loss_config(self) -> LossConfig:
         return LossConfig(s=self.s, m=self.m, lambda_=self.lambda_,
                           alpha=self.alpha, beta=self.beta,

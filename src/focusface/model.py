@@ -309,6 +309,12 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
         elif " = " in line:
             key, value = line.split(" = ", 1)
             fields[key] = value
+    # seed and frozen have defaults; the architecture fields do not
+    required = ("input_hw", "in_channels", "stages", "recognition_dim",
+                "mask_dim", "num_classes")
+    missing = [key for key in required if key not in fields]
+    if missing:
+        raise ValueError(f"{path} header lacks field(s) {', '.join(missing)}")
     config = ToyBackboneConfig(
         input_hw=int(fields["input_hw"]),
         in_channels=int(fields["in_channels"]),

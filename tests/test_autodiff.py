@@ -89,26 +89,87 @@ def test_grad_check_three_layer_perceptron():
     assert err <= 1e-4
 
 
-def test_conv2d_matches_direct_loops():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 3, 6, 6))
-    w = rng.normal(size=(4, 3, 3, 3))
-    stride, pad = 2, 1
-    tape = Tape()
-    out = tape.conv2d(tape.leaf(x), tape.leaf(w), stride=stride, padding=pad)
-
+def _conv2d_loops(x, w, g, stride, pad):
+    """Forward output and both gradients of sum(conv2d(x, w) * g), by loops."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (xp.shape[2] - 3) // stride + 1
-    wo = (xp.shape[3] - 3) // stride + 1
-    ref = np.zeros((2, 4, ho, wo))
-    for n in range(2):
-        for o in range(4):
+    n_img, _, kh, kw = x.shape[0], x.shape[1], w.shape[2], w.shape[3]
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    out = np.zeros((n_img, w.shape[0], ho, wo))
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for n in range(n_img):
+        for o in range(w.shape[0]):
             for i in range(ho):
                 for j in range(wo):
-                    patch = xp[n, :, i * stride:i * stride + 3,
-                               j * stride:j * stride + 3]
-                    ref[n, o, i, j] = np.sum(patch * w[o])
-    np.testing.assert_allclose(out.data, ref, atol=1e-12)
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    out[n, o, i, j] = np.sum(xp[n, :, rows, cols] * w[o])
+                    gw[o] += g[n, o, i, j] * xp[n, :, rows, cols]
+                    gxp[n, :, rows, cols] += g[n, o, i, j] * w[o]
+    gx = gxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
+    return out, gx, gw
+
+
+def test_conv2d_matches_direct_loops():
+    rng = np.random.default_rng(3)
+    for stride in (1, 2):
+        for pad in (0, 1):
+            for c in (1, 3):
+                x = rng.normal(size=(2, c, 7, 6))
+                w = rng.normal(size=(4, c, 3, 3))
+                tape = Tape()
+                xt = tape.leaf(x, trainable=True)
+                wt = tape.leaf(w, trainable=True)
+                out = tape.conv2d(xt, wt, stride=stride, padding=pad)
+                g = rng.normal(size=out.shape)
+                grads = tape.backward(tape.sum(tape.mul(out, tape.leaf(g))))
+
+                ref, ref_gx, ref_gw = _conv2d_loops(x, w, g, stride, pad)
+                case = f"stride {stride}, padding {pad}, {c} channels"
+                np.testing.assert_allclose(out.data, ref, atol=1e-12, err_msg=case)
+                np.testing.assert_allclose(grads[xt.node_id], ref_gx, atol=1e-12,
+                                           err_msg=case)
+                np.testing.assert_allclose(grads[wt.node_id], ref_gw, atol=1e-12,
+                                           err_msg=case)
+
+
+def test_prelu_matches_where_formula_bit_for_bit():
+    # the reference is the np.where rule: where(x > 0, x, a * x) forward,
+    # g * where(x > 0, 1, a) and sum(g * where(x > 0, 0, x)) backward;
+    # signed zeros must come out with the same sign
+    rng = np.random.default_rng(23)
+    mixed = rng.normal(size=40)
+    mixed[::5] = 0.0
+    mixed[1::5] = -0.0
+    signed_zero_g = rng.normal(size=40)
+    signed_zero_g[2::7] = 0.0
+    signed_zero_g[3::7] = -0.0
+    cases = [
+        (mixed, signed_zero_g, 0.25),
+        (mixed, signed_zero_g, -0.5),
+        # every slope term is a zero: the sum's sign is the sign of those zeros
+        (np.array([-0.0, 0.0, -0.0, 2.0]), np.array([1.0, -1.0, 2.0, -3.0]), 0.25),
+        (np.array([-0.0, 0.0, 0.0]), np.array([-1.0, 1.0, -0.0]), 0.25),
+    ]
+    for x, g, a in cases:
+        tape = Tape()
+        xt = tape.leaf(x, trainable=True)
+        st = tape.leaf(a, trainable=True)
+        out = tape.prelu(xt, st)
+        # buffers start at -0.0, the identity of +=, so each holds the
+        # rule's contribution exactly, sign of zero included
+        grads = [None] * len(tape.nodes)
+        grads[xt.node_id] = np.full(x.shape, -0.0)
+        grads[st.node_id] = np.full((), -0.0)
+        tape.nodes[out.node_id].backward_fn(g, grads)
+
+        pos = x > 0
+        assert out.data.tobytes() == np.where(pos, x, a * x).tobytes()
+        ref_x = g * np.where(pos, 1.0, a)
+        ref_slope = np.sum(g * np.where(pos, 0.0, x))
+        assert grads[xt.node_id].tobytes() == ref_x.tobytes()
+        assert grads[st.node_id].tobytes() == ref_slope.tobytes()
 
 
 def test_conv2d_channel_mismatch():

@@ -203,6 +203,17 @@ def test_train_missing_corpus_fails(tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+def test_train_invalid_loop_value_is_one_line_error(corpus_dir, tmp_path, capsys):
+    code = run_cli("train", "--data", corpus_dir, "--out", str(tmp_path / "o"),
+                   "--set", "batch_size=0")
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "batch_size" in err
+    with pytest.raises(ConfigError, match="batch_size"):
+        load_config(None, {"batch_size": 0})
+
+
 # -- eval / roc-export -------------------------------------------------------
 
 def test_eval_um_report(corpus_dir, run_dir, tmp_path, capsys):
@@ -235,6 +246,21 @@ def test_eval_missing_checkpoint_fails(corpus_dir, tmp_path, capsys):
                    "--data", corpus_dir, "--mode", "um")
     assert code != 0
     assert "no.ckpt" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_missing_header_field_fails(corpus_dir, run_dir,
+                                                    tmp_path, capsys):
+    path = tmp_path / "no-mask-dim.ckpt"
+    with open(os.path.join(run_dir, "best.ckpt"), "rb") as f:
+        raw = f.read()
+    path.write_bytes(b"".join(line for line in raw.splitlines(keepends=True)
+                              if not line.startswith(b"mask_dim = ")))
+    code = run_cli("eval", "--checkpoint", str(path), "--data", corpus_dir,
+                   "--mode", "um")
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no-mask-dim.ckpt" in err and "mask_dim" in err
 
 
 def test_roc_export_csv(corpus_dir, run_dir, tmp_path):

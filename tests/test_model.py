@@ -176,6 +176,15 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_missing_header_field_named(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ToyModel.init(seed=9), str(path), seed=9)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"num_classes = 20\n", b""))
+    with pytest.raises(ValueError, match=r"m\.ckpt.*num_classes"):
+        load_checkpoint(str(path))
+
+
 def test_backbone_descriptor_count_matches_live_conv_params():
     config = ToyBackboneConfig()
     model = ToyModel.init(config, seed=0)

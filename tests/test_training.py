@@ -211,6 +211,56 @@ def test_combined_backward_equals_summed_branch_backwards(corpus):
         assert np.max(np.abs(combined[name] - summed[name])) / scale < 1e-12
 
 
+# -- gradient pruning ----------------------------------------------------------
+
+def _count_backward_rules(monkeypatch):
+    """Count, by op kind, the backward rules Tape.backward runs."""
+    calls = {}
+    record = Tape._record
+
+    def counting_record(tape, kind, input_ids, backward_fn, value):
+        if backward_fn is not None:
+            rule = backward_fn
+
+            def backward_fn(g, grads):
+                calls[kind] = calls.get(kind, 0) + 1
+                rule(g, grads)
+        return record(tape, kind, input_ids, backward_fn, value)
+
+    monkeypatch.setattr(Tape, "_record", counting_record)
+    return calls
+
+
+def test_frozen_step_runs_no_backbone_backward_rule(corpus, monkeypatch):
+    batch = small_batch(corpus)
+    calls = _count_backward_rules(monkeypatch)
+    model = tiny_model(seed=3, num_classes=corpus.num_classes)
+    train_iteration(init_state(model.clone()), batch, TrainConfig(batch_size=8))
+    assert calls["conv2d"] == 6 and calls["prelu"] == 6  # 3 stages, 2 forwards
+    calls.clear()
+    train_iteration(init_state(model.clone().freeze("backbone")), batch,
+                    TrainConfig(batch_size=8, freeze_backbone=True))
+    assert "conv2d" not in calls and "prelu" not in calls
+    assert calls["matmul"] > 0
+
+
+def test_frozen_head_gradients_equal_unfrozen_bit_for_bit(corpus):
+    batch = small_batch(corpus)
+    model = tiny_model(seed=4, num_classes=corpus.num_classes)
+    results = []
+    for frozen in ("none", "backbone"):
+        tape = Tape()
+        comb, _, leaves = build_losses(model.clone().freeze(frozen), tape, batch,
+                                       LossConfig())
+        grads = tape.backward(comb)
+        results.append({name: grads[t.node_id] for name, t in leaves.items()
+                        if t.node_id in grads})
+    full, frozen = results
+    assert set(frozen) == {n for n in full if not n.startswith("conv")}
+    for name, g in frozen.items():
+        assert g.tobytes() == full[name].tobytes(), name
+
+
 # -- fit ---------------------------------------------------------------------
 
 def short_config(**kw):
