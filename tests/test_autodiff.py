@@ -133,6 +133,15 @@ def test_conv2d_matches_direct_loops():
                 np.testing.assert_allclose(grads[wt.node_id], ref_gw, atol=1e-12,
                                            err_msg=case)
 
+                # an input that needs no gradient (an image) skips the
+                # input-gradient pass; the weight gradient is unchanged
+                tape = Tape()
+                wt2 = tape.leaf(w, trainable=True)
+                out = tape.conv2d(tape.leaf(x), wt2, stride=stride, padding=pad)
+                only_w = tape.backward(tape.sum(tape.mul(out, tape.leaf(g))))
+                assert list(only_w) == [wt2.node_id]
+                assert only_w[wt2.node_id].tobytes() == grads[wt.node_id].tobytes()
+
 
 def test_prelu_matches_where_formula_bit_for_bit():
     # the reference is the np.where rule: where(x > 0, x, a * x) forward,
