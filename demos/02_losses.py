@@ -9,7 +9,6 @@ import numpy as np
 
 from focusface.autodiff import Tape
 from focusface.losses import (
-    ArcFaceHead,
     arcface_loss,
     branch_loss,
     combined_loss,
@@ -21,22 +20,25 @@ rng = np.random.default_rng(1)
 batch, dim, classes = 8, 16, 5
 features = rng.normal(size=(batch, dim))
 targets = rng.integers(0, classes, size=batch)
-head = ArcFaceHead.init(dim, classes, np.random.default_rng(2))
+# the margin head: one unconstrained weight column per class
+weights = np.random.default_rng(2).normal(0.0, 0.01, (dim, classes))
 
 # margin zero: the angular-margin loss IS softmax cross-entropy on cosines
 tape = Tape()
 f = tape.leaf(features)
-zero_margin = arcface_loss(tape, f, head, targets, s=64.0, m=0.0)
+w = tape.leaf(weights)
+zero_margin = arcface_loss(tape, f, w, targets, s=64.0, m=0.0)
 fn = tape.l2_normalize(f, axis=-1)
-wn = tape.l2_normalize(tape.leaf(head.weights), axis=0)
+wn = tape.l2_normalize(w, axis=0)
 plain = cross_entropy(tape, tape.scale(tape.matmul(fn, wn), 64.0), targets)
 print(f"m=0 arcface  {zero_margin.item():.12f}")
 print(f"scaled CE    {plain.item():.12f}")
 
 # scale invariance: features live on the unit sphere, magnitude is ignored
 tape = Tape()
-a = arcface_loss(tape, tape.leaf(features), head, targets, s=64.0, m=0.5)
-b = arcface_loss(tape, tape.leaf(features * 37.5), head, targets, s=64.0, m=0.5)
+w = tape.leaf(weights)
+a = arcface_loss(tape, tape.leaf(features), w, targets, s=64.0, m=0.5)
+b = arcface_loss(tape, tape.leaf(features * 37.5), w, targets, s=64.0, m=0.5)
 print(f"margin loss at |f| and 37.5|f|: {a.item():.12f} vs {b.item():.12f}")
 
 # the full combination: alpha * mse + beta * (masked + unmasked branches)
@@ -44,8 +46,9 @@ tape = Tape()
 emb_u = tape.leaf(rng.normal(size=(batch, dim)))
 emb_m = tape.leaf(rng.normal(size=(batch, dim)))
 mse = contrastive_mse(tape, emb_u, emb_m)
-arc_u = arcface_loss(tape, emb_u, head, targets, s=64.0, m=0.5)
-arc_m = arcface_loss(tape, emb_m, head, targets, s=64.0, m=0.5)
+w = tape.leaf(weights)
+arc_u = arcface_loss(tape, emb_u, w, targets, s=64.0, m=0.5)
+arc_m = arcface_loss(tape, emb_m, w, targets, s=64.0, m=0.5)
 mask_logits = tape.leaf(rng.normal(size=(batch, 2)))
 ce = cross_entropy(tape, mask_logits, np.zeros(batch, dtype=int))
 l_u = branch_loss(tape, arc_u, ce, lambda_=0.1)

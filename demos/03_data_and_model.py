@@ -1,19 +1,22 @@
 """The synthetic corpus and the two-head toy network.
 
-Renders a masked/unmasked pair, shows the split layout and the evaluation
-protocol counts, runs the pair through a freshly initialised model, and
-prints the exact parameter accounting at both scales.
+Draws a masked/unmasked training pair, shows the split layout and the
+evaluation protocol counts, runs the pair through a freshly initialised
+model, and prints the exact parameter accounting at both scales.
 """
 
 import numpy as np
 
-from focusface.data import build_splits, identity_spec, make_pair
+from focusface.data import build_splits, train_batch
 from focusface.model import ToyBackboneConfig, ToyModel, embed_images
 from focusface.params import full_scale_modules, summarize, toy_scale_modules
 
-# one identity, one masked/unmasked pair of the same base face
-spec = identity_spec(dataset_seed=42, identity_id=0)
-unmasked, masked, _ = make_pair(spec, sample_seed=7)
+# the default corpus: 33 identities split 20 train / 5 val / 8 test
+corpus = build_splits()
+
+# one training pair: a sample and the occluded version of the same image
+batch = train_batch(corpus, iteration=0, batch_size=1)
+unmasked, masked = batch.unmasked[0, 0], batch.masked[0, 0]
 
 
 def ascii_image(img, step=2):
@@ -29,8 +32,6 @@ ascii_image(unmasked)
 print("\nsame face, lower-face occlusion:")
 ascii_image(masked)
 
-# the default corpus: 33 identities split 20 train / 5 val / 8 test
-corpus = build_splits()
 print(f"\ntrain identities: {corpus.num_classes}")
 for name, split in (("val", corpus.val), ("test", corpus.test)):
     refs, probes = split.references, split.probes

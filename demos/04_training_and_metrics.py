@@ -21,7 +21,7 @@ corpus = build_splits(num_identities=20, samples_per_identity=16,
                       dataset_seed=11)
 config = TrainConfig(seed=0, max_iterations=150, milestones=(75, 120),
                      eval_interval=50)
-state, log = fit(config, corpus, threads=4)
+state, log = fit(config, corpus)
 model = best_model(state)
 
 print("last three log lines:")
@@ -34,13 +34,13 @@ print(f"\ncontrastive mse: first step {mse[0]:.4f}, last step {mse[-1]:.4f}")
 # the two verification settings share probes, differ in references
 for mode, label in (("um", "unmasked refs / masked probes"),
                     ("mm", "masked refs / masked probes")):
-    report = compute_metrics(protocol_scores(model, corpus.test, mode, threads=4))
+    report = compute_metrics(protocol_scores(model, corpus.test, mode))
     print(f"{mode} ({label}): eer {report.eer:.3f} fmr100 {report.fmr100:.3f} "
           f"auc {report.auc:.3f} gmean {report.gmean:.3f} imean {report.imean:.3f}")
 
 # the mask head doubles as a mask detector
 images, labels = split_mask_detection_set(corpus.test)
-points, auc = mask_detection_roc(model, images, labels, threads=4)
+points, auc = mask_detection_roc(model, images, labels)
 print(f"mask-detection auc after {config.max_iterations} iterations: {auc:.4f}")
 
 # metrics are pure functions of score sets; a hand-checkable example

@@ -20,20 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-OP_KINDS = (
-    "add",
-    "sub",
-    "mul",
-    "matmul",
-    "conv2d",
-    "prelu",
-    "flatten",
-    "l2_normalize",
-    "dot",
-    "sum",
-    "scale",
-)
-
 
 class ShapeError(ValueError):
     """Raised when an op receives incompatibly shaped inputs."""
@@ -377,14 +363,6 @@ class Tape:
         for t in inputs:
             self._check(t)
         return self._out(kind, inputs, backward_fn, value)
-
-    # -------------------------------------------------------------- dispatch
-
-    def apply(self, kind: str, *inputs: Tensor, **kwargs) -> Tensor:
-        """Dispatch by op name over the fixed vocabulary."""
-        if kind not in OP_KINDS:
-            raise ValueError(f"unknown op kind {kind!r}; known: {OP_KINDS}")
-        return getattr(self, kind)(*inputs, **kwargs)
 
     # -------------------------------------------------------------- backward
 

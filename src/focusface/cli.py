@@ -24,7 +24,6 @@ from .config import (
     RunConfig,
     load_config,
     parse_overrides,
-    resolve_threads,
     write_config,
 )
 from .data import build_splits, check_coverage_range, load_corpus, save_corpus
@@ -37,7 +36,7 @@ from .metrics import (
     write_roc_csv,
 )
 from .model import load_checkpoint, save_checkpoint
-from .training import best_model, fit
+from .training import DivergenceError, best_model, fit
 
 EVAL_MODES = ("um", "mm", "mask-roc")
 
@@ -57,12 +56,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", metavar="KEY=VALUE", action="append",
                         default=[], dest="overrides",
                         help="override any config key (repeatable)")
-
-
-def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker threads (FOCUSFACE_THREADS mirrors this; "
-                             "default: all cores)")
 
 
 def _load(args: argparse.Namespace, extra: dict | None = None) -> RunConfig:
@@ -118,7 +111,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if config.freeze_backbone and not config.init_checkpoint:
         return _fail("--freeze-backbone requires --init-checkpoint "
                      "(a frozen backbone must come from somewhere)")
-    threads = resolve_threads(config, args.threads)
     try:
         corpus = load_corpus(config.data_dir)
     except (OSError, ValueError) as exc:
@@ -129,8 +121,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             model, _ = load_checkpoint(config.init_checkpoint)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load checkpoint {config.init_checkpoint}: {exc}")
-    state, log = fit(config.train_config(), corpus, model=model,
-                     threads=threads)
+    try:
+        state, log = fit(config.train_config(), corpus, model=model)
+    except DivergenceError as exc:
+        return _fail(f"training diverged, no checkpoint written: {exc}")
     trained = state.model
     print(f"trainable parameters: {_group(trained.trainable_count())} "
           f"of {_group(trained.total_count())}")
@@ -155,13 +149,15 @@ def _load_eval_inputs(args: argparse.Namespace):
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError(f"checkpoint {args.checkpoint} does not exist")
     model, _ = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.data)
+    try:
+        corpus = load_corpus(args.data)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load corpus from {args.data}: {exc}") from None
     return model, corpus
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load(args)
-    threads = resolve_threads(config, args.threads)
     try:
         model, corpus = _load_eval_inputs(args)
     except (OSError, ValueError) as exc:
@@ -174,15 +170,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         write_config(config, args.out)
     if args.mode == "mask-roc":
         images, labels = split_mask_detection_set(split)
-        points, auc = mask_detection_roc(model, images, labels, threads=threads)
+        points, auc = mask_detection_roc(model, images, labels)
         print(f"mask-roc {args.split} auc {auc:.10g} ({len(points)} points)")
         if args.out:
             csv_path = os.path.join(args.out, f"mask-roc-{args.split}.csv")
             write_roc_csv(points, csv_path)
             print(f"wrote {csv_path}")
         return 0
-    report = compute_metrics(protocol_scores(model, split, args.mode,
-                                             threads=threads))
+    report = compute_metrics(protocol_scores(model, split, args.mode))
     print(f"{args.mode} {args.split} eer {report.eer:.10g} "
           f"fmr100 {report.fmr100:.10g} fmr10 {report.fmr10:.10g} "
           f"auc {report.auc:.10g}")
@@ -231,16 +226,14 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_roc_export(args: argparse.Namespace) -> int:
-    config = _load(args)
-    threads = resolve_threads(config, args.threads)
+    _load(args)  # no key applies here, but a bad one is still an error
     try:
         model, corpus = _load_eval_inputs(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     split = corpus.val if args.split == "val" else corpus.test
     from .metrics import roc_points
-    points = roc_points(protocol_scores(model, split, args.mode,
-                                        threads=threads))
+    points = roc_points(protocol_scores(model, split, args.mode))
     write_roc_csv(points, args.out)
     print(f"wrote {args.out} ({len(points)} points)")
     return 0
@@ -273,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train heads only; requires --init-checkpoint")
     p.add_argument("--init-checkpoint", metavar="FILE",
                    help="start from these weights instead of a fresh init")
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint")
@@ -283,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=EVAL_MODES)
     p.add_argument("--split", choices=("val", "test"), default="test")
     p.add_argument("--out", metavar="DIR", help="write report files here")
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("paramcount", help="per-module parameter table")
@@ -305,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True, choices=("um", "mm"))
     p.add_argument("--split", choices=("val", "test"), default="test")
     p.add_argument("--out", required=True, metavar="FILE", help="CSV path")
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_roc_export)
 
     return parser

@@ -1,7 +1,7 @@
 """Run configuration: line-oriented ``key = value`` text with overrides.
 
 One flat key space covers corpus generation, the loss weights, the
-optimizer loop, and plumbing (threads, paths).  Files are diff-friendly
+optimizer loop, and plumbing (paths).  Files are diff-friendly
 text; every value round-trips exactly (floats use repr), so the config
 echoed into an output directory reproduces the run bit for bit.  Unknown
 keys are rejected by name: a typo never silently falls back to a default.
@@ -51,7 +51,6 @@ class RunConfig:
     baseline: bool = TrainConfig.baseline
     seed: int = TrainConfig.seed
     # plumbing
-    threads: int = 0  # 0 means use every core
     init_checkpoint: str = ""
     data_dir: str = ""
     out_dir: str = ""
@@ -175,24 +174,3 @@ def write_config(config: RunConfig, out_dir: str) -> str:
     with open(path, "w", encoding="utf-8") as f:
         f.write(format_config(config))
     return path
-
-
-def resolve_threads(config: RunConfig, flag_value: int | None,
-                    env: dict | None = None) -> int:
-    """Worker count: flag beats FOCUSFACE_THREADS beats config beats cores."""
-    env = os.environ if env is None else env
-    if flag_value is not None:
-        chosen = flag_value
-    elif "FOCUSFACE_THREADS" in env:
-        try:
-            chosen = int(env["FOCUSFACE_THREADS"])
-        except ValueError:
-            raise ConfigError(
-                f"FOCUSFACE_THREADS={env['FOCUSFACE_THREADS']!r} is not an integer")
-    else:
-        chosen = config.threads
-    if chosen == 0:
-        chosen = os.cpu_count() or 1
-    if chosen < 1:
-        raise ConfigError(f"threads must be positive, got {chosen}")
-    return chosen

@@ -35,10 +35,10 @@ SELECTION_MODES = ("original", "random")
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_MAGIC = "# focusface-manifest v1"
 
-# seed-stream tags: each draw site uses default_rng([anchor seed, tag, ...])
+# seed-stream tags: each draw site uses default_rng([anchor seed, tag, ...]);
+# a tag's value is part of every draw it keys, so never renumber or reuse one
 _TAG_IDENTITY = 1
 _TAG_MASK = 2
-_TAG_PAIR = 3
 _TAG_BATCH = 4
 
 # variation-seed blocks; train samples use 0..samples_per_identity-1
@@ -193,43 +193,6 @@ def _mask_spec_for(identity: IdentitySpec, variation_seed: int,
                    coverage_range: tuple = COVERAGE_RANGE) -> MaskSpec:
     return draw_mask_spec(np.random.default_rng(
         [identity.base_seed, _TAG_MASK, int(variation_seed)]), coverage_range)
-
-
-# -- pairing -----------------------------------------------------------------
-
-def make_pair(identity: IdentitySpec, sample_seed: int, selection: str = "original",
-              flip_coin: bool = False, pool=None,
-              coverage_range: tuple = COVERAGE_RANGE):
-    """(unmasked, masked, flip flag) for one training pair.
-
-    original: the masked member is the occluded version of the same base
-    image.  random: it is the occluded version of a different sample of the
-    same identity (the anchor seed is excluded), drawn from ``pool`` when
-    given, otherwise from a wide seed range.
-    """
-    if selection not in SELECTION_MODES:
-        raise ValueError(f"selection must be one of {SELECTION_MODES}, got {selection!r}")
-    unmasked = render_sample(identity, sample_seed)
-    if selection == "original":
-        source_seed = sample_seed
-        base = unmasked
-    else:
-        rng = np.random.default_rng([identity.base_seed, _TAG_PAIR, int(sample_seed)])
-        if pool is None:
-            source_seed = sample_seed
-            while source_seed == sample_seed:
-                source_seed = int(rng.integers(0, 2**31))
-        else:
-            others = [s for s in pool if s != sample_seed]
-            if not others:
-                raise ValueError("random selection needs a pool with more than the anchor")
-            source_seed = others[int(rng.integers(len(others)))]
-        base = render_sample(identity, source_seed)
-    masked = apply_mask(base, _mask_spec_for(identity, source_seed, coverage_range))
-    if flip_coin:
-        unmasked = np.flip(unmasked, axis=-1)
-        masked = np.flip(masked, axis=-1)
-    return unmasked, masked, bool(flip_coin)
 
 
 # -- corpus ------------------------------------------------------------------
@@ -484,6 +447,9 @@ def load_corpus(outdir: str) -> Corpus:
             path, ident, masked, split, role = line.split("\t")
             rows.append((path, int(ident), masked == "1", split, role))
 
+    for key in ("dataset_seed", "samples_per_identity"):
+        if key not in meta:
+            raise ValueError(f"{manifest_path} has no '# {key} = ' header line")
     samples = meta["samples_per_identity"]
     train_rows = [r for r in rows if r[3] == "train"]
     train_ids = sorted({r[1] for r in train_rows})
@@ -492,6 +458,9 @@ def load_corpus(outdir: str) -> Corpus:
     masked_arr = np.zeros_like(unmasked)
     for path, ident, is_masked, _, _ in train_rows:
         index = int(path.rsplit(".", 1)[0][-4:])
+        if not 0 <= index < samples:
+            raise ValueError(f"{manifest_path}: train row {path} is sample {index}, "
+                             f"but samples_per_identity is {samples}")
         target = masked_arr if is_masked else unmasked
         target[id_index[ident], index] = _read_image(os.path.join(outdir, path))
 

@@ -62,31 +62,6 @@ class LossConfig:
                 f"comb_mode must be one of {COMB_MODES}, got {self.comb_mode!r}")
 
 
-@dataclass
-class ArcFaceHead:
-    """Class-weight matrix for the margin loss, one column per class.
-
-    Stored weights are unconstrained; l2 normalisation of the columns is
-    applied inside the loss, not to the stored values.
-    """
-
-    weights: np.ndarray  # (embed_dim, num_classes)
-
-    @classmethod
-    def init(cls, embed_dim: int, num_classes: int,
-             rng: np.random.Generator) -> "ArcFaceHead":
-        w = rng.normal(0.0, 0.01, size=(embed_dim, num_classes))
-        return cls(weights=w)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[1]
-
-
 def _as_targets(targets, n: int, batch: int) -> np.ndarray:
     t = np.asarray(targets, dtype=np.int64)
     if t.shape != (batch,):
@@ -156,19 +131,15 @@ def arcface_margin(tape: Tape, cosines: Tensor, targets, s: float,
     return tape.custom("arcface_margin", (cosines,), value, backward)
 
 
-def arcface_loss(tape: Tape, features: Tensor, head, targets, s: float,
-                 m: float) -> Tensor:
+def arcface_loss(tape: Tape, features: Tensor, weights: Tensor, targets,
+                 s: float, m: float) -> Tensor:
     """Angular-margin softmax loss on the normalised hypersphere.
 
-    ``head`` may be an ``ArcFaceHead`` (leafed onto the tape, not trainable)
-    or a weight Tensor already on the tape, shaped (embed_dim, num_classes).
-    Both feature rows and weight columns are l2-normalised in-op; a zero
-    feature vector is an error.
+    ``weights`` is the class-weight matrix, a Tensor already on the tape,
+    shaped (embed_dim, num_classes) with one column per class.  Stored
+    weights are unconstrained: feature rows and weight columns are
+    l2-normalised in-op, and a zero feature vector is an error.
     """
-    if isinstance(head, ArcFaceHead):
-        weights = tape.leaf(head.weights)
-    else:
-        weights = head
     if features.data.ndim != 2 or weights.data.ndim != 2 \
             or features.shape[1] != weights.shape[0]:
         raise ShapeError(

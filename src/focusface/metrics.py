@@ -54,15 +54,6 @@ class MetricsReport:
         }
 
 
-def cosine_similarity(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na <= 1e-12 or nb <= 1e-12:
-        raise ValueError("cosine similarity of a zero vector is undefined")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
-
-
 def _checked(scores: ScoreSet):
     g, i = scores.genuine, scores.impostor
     if g.size == 0 or i.size == 0:
@@ -136,8 +127,7 @@ def score_pairs(ref_embeddings, ref_ids, probe_embeddings, probe_ids) -> ScoreSe
     return ScoreSet(sims[genuine], sims[~genuine])
 
 
-def protocol_scores(model: ToyModel, split: EvalSplit, mode: str,
-                    threads: int = 1) -> ScoreSet:
+def protocol_scores(model: ToyModel, split: EvalSplit, mode: str) -> ScoreSet:
     """Scores for one verification setting on an evaluation split.
 
     um: unmasked references against masked probes.  mm: masked references
@@ -148,8 +138,8 @@ def protocol_scores(model: ToyModel, split: EvalSplit, mode: str,
     refs, probes = split.references, split.probes
     ref_pick = refs.masked if mode == "mm" else ~refs.masked
     probe_pick = probes.masked
-    ref_emb, _ = embed_images(model, refs.images[ref_pick][:, None], threads=threads)
-    probe_emb, _ = embed_images(model, probes.images[probe_pick][:, None], threads=threads)
+    ref_emb, _ = embed_images(model, refs.images[ref_pick][:, None])
+    probe_emb, _ = embed_images(model, probes.images[probe_pick][:, None])
     return score_pairs(ref_emb, refs.identity_ids[ref_pick],
                        probe_emb, probes.identity_ids[probe_pick])
 
@@ -161,12 +151,12 @@ def split_mask_detection_set(split: EvalSplit):
     return images, labels.astype(np.int64)
 
 
-def mask_detection_roc(model: ToyModel, images, mask_labels, threads: int = 1):
+def mask_detection_roc(model: ToyModel, images, mask_labels):
     """ROC points and AUC for the masked-class probability as a detector."""
     mask_labels = np.asarray(mask_labels)
     if len(set(mask_labels.tolist())) < 2:
         raise ValueError("mask-detection ROC needs both classes present")
-    _, probs = embed_images(model, np.asarray(images)[:, None], threads=threads)
+    _, probs = embed_images(model, np.asarray(images)[:, None])
     scores = ScoreSet(genuine=probs[mask_labels == 1], impostor=probs[mask_labels == 0])
     return roc_points(scores), compute_metrics(scores).auc
 

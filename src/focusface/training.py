@@ -70,6 +70,10 @@ class TrainConfig:
         return self.loss
 
 
+class DivergenceError(RuntimeError):
+    """A non-finite gradient reached the optimizer; the run cannot go on."""
+
+
 @dataclass
 class TrainState:
     model: ToyModel
@@ -104,7 +108,7 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
         if g is None:
             g = np.zeros_like(p)
         elif not np.all(np.isfinite(g)):
-            raise RuntimeError(
+            raise DivergenceError(
                 f"non-finite gradient at iteration {iteration} for {name}: "
                 f"norm={float(np.linalg.norm(g[np.isfinite(g)])):.6g}")
         v *= momentum
@@ -182,8 +186,7 @@ def _can_eval(corpus: Corpus) -> bool:
     return len(set(corpus.val.references.identity_ids.tolist())) >= 2
 
 
-def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None,
-        threads: int = 1):
+def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     """Run the configured budget; returns (state, log lines).
 
     Validation runs every eval_interval iterations; the retained best
@@ -208,8 +211,7 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None,
         breakdown = train_iteration(state, batch, config)
         log.append(_format_iteration(it, breakdown))
         if evaluable and (it + 1) % config.eval_interval == 0:
-            report = compute_metrics(
-                protocol_scores(model, corpus.val, "um", threads=threads))
+            report = compute_metrics(protocol_scores(model, corpus.val, "um"))
             log.append(_format_eval(it, report))
             if report.fmr100 < state.best_fmr100:
                 state.best_fmr100 = report.fmr100

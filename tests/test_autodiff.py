@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focusface.autodiff import OP_KINDS, ShapeError, Tape, grad_check
+from focusface.autodiff import ShapeError, Tape, grad_check
 
 
 def test_add_elementwise():
@@ -245,16 +245,6 @@ def test_backward_is_deterministic():
 
     a, b = run(), run()
     assert np.array_equal(a, b)
-
-
-def test_apply_dispatches_every_kind():
-    tape = Tape()
-    assert set(OP_KINDS) == {"add", "sub", "mul", "matmul", "conv2d", "prelu",
-                             "flatten", "l2_normalize", "dot", "sum", "scale"}
-    out = tape.apply("add", tape.leaf([1.0]), tape.leaf([2.0]))
-    np.testing.assert_array_equal(out.data, [3.0])
-    with pytest.raises(ValueError, match="unknown op"):
-        tape.apply("exp", tape.leaf([1.0]))
 
 
 def test_scale_by_constant():

@@ -12,7 +12,6 @@ from focusface.config import (
     load_config,
     parse_config_text,
     parse_overrides,
-    resolve_threads,
 )
 from focusface.data import load_corpus
 from focusface.losses import LossConfig
@@ -58,19 +57,6 @@ def test_config_file_with_comments(tmp_path):
     path.write_text("# a comment\nlr = 0.05\n\nlambda = 0.3\n")
     config = load_config(str(path), {"seed": 9})
     assert config.lr == 0.05 and config.lambda_ == 0.3 and config.seed == 9
-
-
-def test_threads_resolution(monkeypatch):
-    config = RunConfig(threads=3)
-    monkeypatch.delenv("FOCUSFACE_THREADS", raising=False)
-    assert resolve_threads(config, 5) == 5  # flag beats everything
-    monkeypatch.setenv("FOCUSFACE_THREADS", "7")
-    assert resolve_threads(config, None) == 7  # env beats config
-    monkeypatch.delenv("FOCUSFACE_THREADS")
-    assert resolve_threads(config, None) == 3  # config last
-    assert resolve_threads(RunConfig(), None) >= 1  # 0 means all cores
-    with pytest.raises(ConfigError):
-        resolve_threads(config, -2)
 
 
 # -- gen-data ----------------------------------------------------------------
@@ -126,7 +112,7 @@ FAST = ["--set", "max_iterations=30", "--set", "milestones=15,24",
 def run_dir(tmp_path_factory, corpus_dir):
     out = str(tmp_path_factory.mktemp("run"))
     code = run_cli("train", "--data", corpus_dir, "--out", out,
-                   "--seed", "3", "--threads", "2", *FAST)
+                   "--seed", "3", *FAST)
     assert code == 0
     return out
 
@@ -139,7 +125,7 @@ def test_train_outputs(run_dir):
 def test_train_prints_live_trainable_count(corpus_dir, tmp_path, capsys):
     out = str(tmp_path / "r")
     assert run_cli("train", "--data", corpus_dir, "--out", out,
-                   "--seed", "1", "--threads", "2",
+                   "--seed", "1",
                    "--set", "max_iterations=2", "--set", "milestones=1",
                    "--set", "eval_interval=5") == 0
     text = capsys.readouterr().out
@@ -151,7 +137,7 @@ def test_train_prints_live_trainable_count(corpus_dir, tmp_path, capsys):
 def test_train_echoed_config_reproduces_run(run_dir, tmp_path):
     out = str(tmp_path / "again")
     assert run_cli("train", "--config", os.path.join(run_dir, "config.txt"),
-                   "--out", out, "--threads", "2") == 0
+                   "--out", out) == 0
     for name in ("train.log", "best.ckpt", "final.ckpt"):
         with open(os.path.join(run_dir, name), "rb") as f:
             first = f.read()
@@ -163,7 +149,7 @@ def test_train_echoed_config_reproduces_run(run_dir, tmp_path):
 def test_train_baseline_flag_recorded(corpus_dir, tmp_path):
     out = str(tmp_path / "b")
     assert run_cli("train", "--data", corpus_dir, "--out", out, "--baseline",
-                   "--seed", "0", "--threads", "2",
+                   "--seed", "0",
                    "--set", "max_iterations=2", "--set", "milestones=1",
                    "--set", "eval_interval=5") == 0
     config = load_config(os.path.join(out, "config.txt"), {})
@@ -183,7 +169,7 @@ def test_train_frozen_backbone_is_bit_identical(corpus_dir, run_dir, tmp_path):
     init = os.path.join(run_dir, "final.ckpt")
     assert run_cli("train", "--data", corpus_dir, "--out", out,
                    "--freeze-backbone", "--init-checkpoint", init,
-                   "--seed", "4", "--threads", "2", *FAST) == 0
+                   "--seed", "4", *FAST) == 0
     start, _ = load_checkpoint(init)
     finish, _ = load_checkpoint(os.path.join(out, "final.ckpt"))
     assert finish.frozen == "backbone"
@@ -203,6 +189,35 @@ def test_train_missing_corpus_fails(tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+def test_bad_manifest_is_one_line_error(corpus_dir, run_dir, tmp_path, capsys):
+    bad = tmp_path / "bad-corpus"
+    bad.mkdir()
+    with open(os.path.join(corpus_dir, "manifest.tsv")) as f:
+        text = f.read()
+    (bad / "manifest.tsv").write_text(text.replace("# samples_per_identity = 8\n", ""))
+    for command in (["train", "--out", str(tmp_path / "o")],
+                    ["eval", "--checkpoint", os.path.join(run_dir, "best.ckpt"),
+                     "--mode", "um"]):
+        code = run_cli(*command, "--data", str(bad))
+        assert code != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load corpus") and err.count("\n") == 1
+        assert "samples_per_identity" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_train_divergence_is_one_line_error(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "diverged"
+    code = run_cli("train", "--data", corpus_dir, "--out", str(out),
+                   "--set", "lr=1e7", *FAST)
+    assert code != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite gradient at iteration" in err
+    assert not list(out.glob("*.ckpt"))
+
+
 def test_train_invalid_loop_value_is_one_line_error(corpus_dir, tmp_path, capsys):
     code = run_cli("train", "--data", corpus_dir, "--out", str(tmp_path / "o"),
                    "--set", "batch_size=0")
@@ -220,7 +235,7 @@ def test_eval_um_report(corpus_dir, run_dir, tmp_path, capsys):
     out = str(tmp_path / "report")
     assert run_cli("eval", "--checkpoint", os.path.join(run_dir, "best.ckpt"),
                    "--data", corpus_dir, "--mode", "um", "--split", "test",
-                   "--out", out, "--threads", "2") == 0
+                   "--out", out) == 0
     text = capsys.readouterr().out
     assert "eer" in text and "fmr100" in text
     with open(os.path.join(out, "report-um-test.json")) as f:
@@ -234,7 +249,7 @@ def test_eval_mask_roc(corpus_dir, run_dir, tmp_path, capsys):
     out = str(tmp_path / "roc")
     assert run_cli("eval", "--checkpoint", os.path.join(run_dir, "best.ckpt"),
                    "--data", corpus_dir, "--mode", "mask-roc",
-                   "--out", out, "--threads", "2") == 0
+                   "--out", out) == 0
     assert "auc" in capsys.readouterr().out
     with open(os.path.join(out, "mask-roc-test.csv")) as f:
         header = f.readline().strip()
@@ -267,8 +282,7 @@ def test_roc_export_csv(corpus_dir, run_dir, tmp_path):
     path = str(tmp_path / "roc.csv")
     assert run_cli("roc-export", "--checkpoint",
                    os.path.join(run_dir, "best.ckpt"),
-                   "--data", corpus_dir, "--mode", "um", "--out", path,
-                   "--threads", "2") == 0
+                   "--data", corpus_dir, "--mode", "um", "--out", path) == 0
     with open(path) as f:
         lines = f.read().strip().split("\n")
     assert lines[0] == "threshold,fmr,fnmr"

@@ -13,7 +13,6 @@ from focusface.data import (
     draw_mask_spec,
     identity_spec,
     load_corpus,
-    make_pair,
     occluder_pattern,
     render_sample,
     save_corpus,
@@ -124,41 +123,6 @@ def test_occluder_stays_inside_canvas():
         assert np.all(pattern[:, 0] == -1.0) and np.all(pattern[:, -1] == -1.0)
 
 
-def test_make_pair_original_shares_top_rows():
-    spec = identity_spec(0, 4)
-    u, m, flipped = make_pair(spec, 11, selection="original", flip_coin=False)
-    assert not flipped
-    assert np.array_equal(u[:13], m[:13])  # worst-case coverage 0.55 -> 18 rows
-
-
-def test_make_pair_random_top_rows_generally_differ():
-    spec = identity_spec(0, 6)
-    differing = 0
-    for s in range(100):
-        u, m, _ = make_pair(spec, s, selection="random")
-        if not np.array_equal(u[:13], m[:13]):
-            differing += 1
-    assert differing >= 90
-
-
-def test_make_pair_flip_mirrors_both():
-    spec = identity_spec(0, 8)
-    u0, m0, _ = make_pair(spec, 21, flip_coin=False)
-    u1, m1, flipped = make_pair(spec, 21, flip_coin=True)
-    assert flipped
-    assert np.array_equal(u1, np.flip(u0, axis=-1))
-    assert np.array_equal(m1, np.flip(m0, axis=-1))
-
-
-def test_make_pair_pool_excludes_anchor():
-    spec = identity_spec(0, 9)
-    with pytest.raises(ValueError, match="pool"):
-        make_pair(spec, 3, selection="random", pool=[3])
-    u, m, _ = make_pair(spec, 3, selection="random", pool=[3, 5])
-    expected_u, expected_m, _ = make_pair(spec, 5, selection="original")
-    assert np.array_equal(np.asarray(m, dtype=np.float64), expected_m)
-
-
 def test_split_identity_counts():
     assert split_identity_counts(33) == (20, 5, 8)
     train, val, test = split_identity_counts(10)
@@ -245,6 +209,30 @@ def test_train_batch_random_selection_avoids_anchor():
     assert src.min() >= 0 and src.max() < corpus.samples_per_identity
 
 
+def test_train_batch_original_shares_top_rows():
+    corpus = build_splits(12, 4, dataset_seed=4)
+    batch = train_batch(corpus, 11, 64, selection="original", seed=1)
+    # worst-case coverage 0.55 -> 18 rows; a flip mirrors both members
+    assert np.array_equal(batch.unmasked[:, 0, :13], batch.masked[:, 0, :13])
+
+
+def test_train_batch_random_top_rows_generally_differ():
+    corpus = build_splits(12, 4, dataset_seed=6)
+    batch = train_batch(corpus, 0, 100, selection="random", seed=1)
+    differing = sum(not np.array_equal(u[0, :13], m[0, :13])
+                    for u, m in zip(batch.unmasked, batch.masked))
+    assert differing >= 90
+
+
+def test_train_batch_random_selection_needs_two_samples():
+    with pytest.raises(ValueError, match="at least 2 samples per identity"):
+        train_batch(build_splits(12, 1, dataset_seed=9), 0, 8, selection="random")
+    # with two samples, the masked member is always the other one
+    _, (_, idx, src) = train_batch(build_splits(12, 2, dataset_seed=9), 0, 32,
+                                   selection="random", return_indices=True)
+    assert np.array_equal(src, 1 - idx)
+
+
 def test_corpus_round_trip(tmp_path):
     corpus = build_splits(8, 3, dataset_seed=9)
     out = tmp_path / "corpus"
@@ -279,3 +267,27 @@ def test_load_rejects_foreign_manifest(tmp_path):
     (out / "manifest.tsv").write_text("something else\n")
     with pytest.raises(ValueError, match="not a recognized corpus manifest"):
         load_corpus(str(out))
+
+
+def _edit_manifest(tmp_path, edit):
+    """A saved corpus whose manifest text went through ``edit``."""
+    out = tmp_path / "corpus"
+    save_corpus(build_splits(8, 3, dataset_seed=9), str(out))
+    manifest = out / "manifest.tsv"
+    manifest.write_text(edit(manifest.read_text()))
+    return str(out)
+
+
+def test_load_rejects_manifest_without_samples_line(tmp_path):
+    out = _edit_manifest(tmp_path, lambda text: "".join(
+        line for line in text.splitlines(keepends=True)
+        if not line.startswith("# samples_per_identity")))
+    with pytest.raises(ValueError, match=r"manifest\.tsv .*samples_per_identity"):
+        load_corpus(out)
+
+
+def test_load_rejects_rows_beyond_declared_samples(tmp_path):
+    out = _edit_manifest(tmp_path, lambda text: text.replace(
+        "# samples_per_identity = 3", "# samples_per_identity = 2"))
+    with pytest.raises(ValueError, match=r"manifest\.tsv: train row .*_train_u0002"):
+        load_corpus(out)

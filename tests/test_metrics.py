@@ -13,7 +13,6 @@ from focusface.metrics import (
     MetricsReport,
     ScoreSet,
     compute_metrics,
-    cosine_similarity,
     mask_detection_roc,
     protocol_scores,
     roc_points,
@@ -32,20 +31,6 @@ def assert_matches_oracle(scores: ScoreSet, tol=1e-9):
     want = oracle_metrics(scores.genuine, scores.impostor)
     for field in REPORT_FIELDS:
         assert abs(getattr(report, field) - want[field]) <= tol, field
-
-
-# -- cosine ------------------------------------------------------------------
-
-def test_cosine_similarity_basic():
-    v = np.array([1.0, 2.0, 2.0])
-    assert cosine_similarity(v, v) == 1.0
-    assert cosine_similarity([1.0, 0.0], [0.0, 5.0]) == 0.0
-    assert cosine_similarity(v, -v) == -1.0
-
-
-def test_cosine_similarity_zero_vector_rejected():
-    with pytest.raises(ValueError, match="zero vector"):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
 
 # -- worked examples ---------------------------------------------------------
@@ -185,9 +170,19 @@ def test_score_pairs_equal_embeddings_per_identity():
     assert np.all(scores.impostor < 1.0)
 
 
+def test_score_pairs_cosine_values():
+    v = np.array([1.0, 2.0, 2.0])
+    scores = score_pairs([v], [0], [v, -v], [0, 1])
+    assert scores.genuine[0] == pytest.approx(1.0, abs=1e-15)
+    assert scores.impostor[0] == pytest.approx(-1.0, abs=1e-15)
+    assert score_pairs([[1.0, 0.0]], [0], [[0.0, 5.0]], [0]).genuine[0] == 0.0
+
+
 def test_score_pairs_zero_embedding_named():
-    with pytest.raises(ValueError, match="probe 1"):
+    with pytest.raises(ValueError, match="probe 1 has a zero-norm embedding"):
         score_pairs(np.eye(2), [0, 1], np.array([[1.0, 0.0], [0.0, 0.0]]), [0, 1])
+    with pytest.raises(ValueError, match="reference 0 has a zero-norm embedding"):
+        score_pairs([[0.0, 0.0]], [0], [[1.0, 0.0]], [0])
 
 
 def test_protocol_scores_counts_match_split_structure():
