@@ -181,6 +181,10 @@ def test_score_pairs_cosine_values():
 def test_score_pairs_zero_embedding_named():
     with pytest.raises(ValueError, match="probe 1 has a zero-norm embedding"):
         score_pairs(np.eye(2), [0, 1], np.array([[1.0, 0.0], [0.0, 0.0]]), [0, 1])
+
+
+def test_cosine_similarity_zero_vector_rejected():
+    # A zero vector has no direction, so its cosine to anything is undefined.
     with pytest.raises(ValueError, match="reference 0 has a zero-norm embedding"):
         score_pairs([[0.0, 0.0]], [0], [[1.0, 0.0]], [0])
 
