@@ -41,7 +41,7 @@ focusface roc-export --checkpoint "$WORK/run/best.ckpt" --data "$WORK/corpus" \
     --mode um --out "$WORK/roc.csv"
 head -4 "$WORK/roc.csv"
 
-echo; echo "== baseline training for comparison (margin-only, λ=α=0) =="
+echo; echo "== baseline training for comparison (margin losses only) =="
 focusface train --data "$WORK/corpus" --out "$WORK/baseline" --seed 0 --baseline \
     --set max_iterations=150 --set milestones=75,120 --set eval_interval=50 \
     | tail -2

@@ -7,9 +7,12 @@ paramcount  per-module parameter table at full or toy scale
 gradcheck   finite-difference verification of every op and loss
 roc-export  write the ROC sweep of a checkpoint as CSV
 
-Every command is deterministic given its config and seed.  Commands that
-create an output directory echo the effective configuration into it as
-``config.txt``; rerunning with that file reproduces the run exactly.
+Every command is deterministic given its inputs and seed.  ``gen-data``
+and ``train`` read the run configuration (``--config FILE`` and repeatable
+``--set KEY=VALUE``) and echo the effective configuration into their
+output directory as ``config.txt``; rerunning with that file reproduces
+the run exactly.  No config key applies to the other commands, so they
+take no config flags.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .config import (
     parse_overrides,
     write_config,
 )
-from .data import build_splits, check_coverage_range, load_corpus, save_corpus
+from .data import build_splits, load_corpus, save_corpus
 from .metrics import (
     compute_metrics,
     mask_detection_roc,
@@ -58,10 +61,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="override any config key (repeatable)")
 
 
-def _load(args: argparse.Namespace, extra: dict | None = None) -> RunConfig:
-    overrides = parse_overrides(args.overrides)
-    overrides.update(extra or {})
-    return load_config(args.config, overrides)
+def _load(args: argparse.Namespace, extra: dict) -> RunConfig:
+    return load_config(args.config, {**parse_overrides(args.overrides), **extra})
 
 
 # -- subcommands -------------------------------------------------------------
@@ -75,13 +76,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _load(args, extra)
     if not config.out_dir:
         return _fail("gen-data needs an output directory (--out or out_dir)")
-    try:
-        check_coverage_range(config.coverage_lo, config.coverage_hi)
-    except ValueError as exc:
-        return _fail(f"coverage_lo/coverage_hi: {exc}")
     corpus = build_splits(config.num_identities, config.samples_per_identity,
                           config.dataset_seed,
-                          coverage_range=config.coverage_range())
+                          coverage_range=(config.coverage_lo, config.coverage_hi))
     manifest = save_corpus(corpus, config.out_dir)
     write_config(config, config.out_dir)
     counts = (corpus.num_classes,
@@ -108,7 +105,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         return _fail("train needs a corpus directory (--data or data_dir)")
     if not config.out_dir:
         return _fail("train needs an output directory (--out or out_dir)")
-    if config.freeze_backbone and not config.init_checkpoint:
+    if config.train.freeze_backbone and not config.init_checkpoint:
         return _fail("--freeze-backbone requires --init-checkpoint "
                      "(a frozen backbone must come from somewhere)")
     try:
@@ -122,13 +119,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load checkpoint {config.init_checkpoint}: {exc}")
     try:
-        state, log = fit(config.train_config(), corpus, model=model)
+        state, log = fit(config.train, corpus, model=model)
     except DivergenceError as exc:
         return _fail(f"training diverged, no checkpoint written: {exc}")
     trained = state.model
-    print(f"trainable parameters: {_group(trained.trainable_count())} "
-          f"of {_group(trained.total_count())}")
-
+    # write the run before printing, so a closed stdout cannot lose it
     os.makedirs(config.out_dir, exist_ok=True)
     write_config(config, config.out_dir)
     log_path = os.path.join(config.out_dir, "train.log")
@@ -136,8 +131,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         f.write("\n".join(log) + "\n")
     best_path = os.path.join(config.out_dir, "best.ckpt")
     final_path = os.path.join(config.out_dir, "final.ckpt")
-    save_checkpoint(best_model(state), best_path, seed=config.seed)
-    save_checkpoint(trained, final_path, seed=config.seed)
+    save_checkpoint(best_model(state), best_path, seed=config.train.seed)
+    save_checkpoint(trained, final_path, seed=config.train.seed)
+    print(f"trainable parameters: {_group(trained.trainable_count())} "
+          f"of {_group(trained.total_count())}")
     if state.best_iteration >= 0 and state.best_fmr100 == state.best_fmr100:
         print(f"best validation fmr100 {state.best_fmr100:.10g} "
               f"at iteration {state.best_iteration}")
@@ -157,7 +154,6 @@ def _load_eval_inputs(args: argparse.Namespace):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = _load(args)
     try:
         model, corpus = _load_eval_inputs(args)
     except (OSError, ValueError) as exc:
@@ -167,7 +163,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "checkpoint": args.checkpoint}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_config(config, args.out)
     if args.mode == "mask-roc":
         images, labels = split_mask_detection_set(split)
         points, auc = mask_detection_roc(model, images, labels)
@@ -226,7 +221,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_roc_export(args: argparse.Namespace) -> int:
-    _load(args)  # no key applies here, but a bad one is still an error
     try:
         model, corpus = _load_eval_inputs(args)
     except (OSError, ValueError) as exc:
@@ -269,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint")
-    _add_config_flags(p)
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--mode", required=True, choices=EVAL_MODES)
@@ -290,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("roc-export", help="write a ROC sweep as CSV")
-    _add_config_flags(p)
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--data", required=True, metavar="DIR")
     p.add_argument("--mode", required=True, choices=("um", "mm"))
@@ -304,9 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         return _fail(str(exc))
+    except BrokenPipeError:
+        # the reader went away (`focusface train | head -1`); point stdout
+        # at devnull so the interpreter's exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

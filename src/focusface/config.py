@@ -1,17 +1,21 @@
 """Run configuration: line-oriented ``key = value`` text with overrides.
 
 One flat key space covers corpus generation, the loss weights, the
-optimizer loop, and plumbing (paths).  Files are diff-friendly
+optimizer loop, and plumbing (paths).  The loss and loop keys are the
+fields of ``LossConfig`` and ``TrainConfig``, declared there only;
+``RunConfig`` holds them as one ``train`` field.  Files are diff-friendly
 text; every value round-trips exactly (floats use repr), so the config
 echoed into an output directory reproduces the run bit for bit.  Unknown
 keys are rejected by name: a typo never silently falls back to a default.
+Every value is validated at load time, so a bad one fails before any work.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
+from .data import check_coverage_range
 from .losses import LossConfig
 from .training import TrainConfig
 
@@ -30,79 +34,62 @@ class RunConfig:
     dataset_seed: int = 0
     coverage_lo: float = 0.40
     coverage_hi: float = 0.55
-    # loss weights, defaults taken from LossConfig
-    s: float = LossConfig.s
-    m: float = LossConfig.m
-    lambda_: float = LossConfig.lambda_  # file key: lambda
-    alpha: float = LossConfig.alpha
-    beta: float = LossConfig.beta
-    comb_mode: str = LossConfig.comb_mode
-    mse_on_normalized: bool = LossConfig.mse_on_normalized
-    # optimizer and loop, defaults taken from TrainConfig
-    lr: float = TrainConfig.lr
-    momentum: float = TrainConfig.momentum
-    weight_decay: float = TrainConfig.weight_decay
-    batch_size: int = TrainConfig.batch_size
-    milestones: tuple = TrainConfig.milestones
-    max_iterations: int = TrainConfig.max_iterations
-    eval_interval: int = TrainConfig.eval_interval
-    selection_mode: str = TrainConfig.selection_mode
-    freeze_backbone: bool = TrainConfig.freeze_backbone
-    baseline: bool = TrainConfig.baseline
-    seed: int = TrainConfig.seed
+    # loss and loop keys, with the library's own defaults
+    train: TrainConfig = field(default_factory=TrainConfig)
     # plumbing
     init_checkpoint: str = ""
     data_dir: str = ""
     out_dir: str = ""
 
     def __post_init__(self):
-        # a value TrainConfig or LossConfig rejects fails here, at load time
-        self.train_config()
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(s=self.s, m=self.m, lambda_=self.lambda_,
-                          alpha=self.alpha, beta=self.beta,
-                          comb_mode=self.comb_mode,
-                          mse_on_normalized=self.mse_on_normalized)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(lr=self.lr, momentum=self.momentum,
-                           weight_decay=self.weight_decay,
-                           batch_size=self.batch_size,
-                           milestones=self.milestones,
-                           max_iterations=self.max_iterations,
-                           eval_interval=self.eval_interval,
-                           selection_mode=self.selection_mode,
-                           freeze_backbone=self.freeze_backbone,
-                           baseline=self.baseline,
-                           loss=self.loss_config(), seed=self.seed)
-
-    def coverage_range(self) -> tuple:
-        return (self.coverage_lo, self.coverage_hi)
+        try:
+            check_coverage_range(self.coverage_lo, self.coverage_hi)
+        except ValueError as exc:
+            raise ValueError(f"coverage_lo/coverage_hi: {exc}") from None
 
 
-def _attr_to_key(attr: str) -> str:
-    return "lambda" if attr == "lambda_" else attr
+def _file_fields():
+    """(section, field) for every key, in file order.
+
+    The section is None for a ``RunConfig`` field, else "loss" or "train".
+    """
+    for f in fields(RunConfig):
+        if f.name != "train":
+            yield None, f
+            continue
+        yield from (("loss", g) for g in fields(LossConfig))
+        yield from (("train", g) for g in fields(TrainConfig) if g.name != "loss")
 
 
-_KEY_TO_ATTR = {_attr_to_key(f.name): f.name for f in fields(RunConfig)}
-_ATTR_TYPE = {f.name: f.type for f in fields(RunConfig)}
+_KEYS = {("lambda" if f.name == "lambda_" else f.name): (section, f)
+         for section, f in _file_fields()}
+_SECTION = {f.name: section for section, f in _KEYS.values()}
 
 
-def _parse_value(key: str, attr: str, raw: str):
-    kind = _ATTR_TYPE[attr]
+def _parse_value(kind: str, raw: str):
+    if kind == "bool":
+        if raw not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw == "true"
+    if kind == "int":
+        return int(raw)
+    if kind == "float":
+        return float(raw)
+    if kind == "tuple":
+        return tuple(int(v) for v in raw.split(",")) if raw else ()
+    return raw
+
+
+def _parse_pair(text: str, where: str = "") -> tuple:
+    """One ``key = value`` pair as (attribute, value); ``where`` prefixes errors."""
+    if "=" not in text:
+        raise ConfigError(f"{where}{text!r} is not of the form 'key = value'")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    if key not in _KEYS:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    _, f = _KEYS[key]
     try:
-        if kind == "bool":
-            if raw not in ("true", "false"):
-                raise ValueError("expected true or false")
-            return raw == "true"
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "tuple":
-            return tuple(int(v) for v in raw.split(",")) if raw else ()
-        return raw
+        return f.name, _parse_value(f.type, raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {raw!r} ({exc})") from None
 
@@ -119,33 +106,14 @@ def _format_value(value) -> str:
 
 def parse_overrides(pairs) -> dict:
     """``key=value`` strings (CLI style) into an attribute dict."""
-    overrides = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not of the form key=value")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in _KEY_TO_ATTR:
-            raise ConfigError(f"unknown config key {key!r}")
-        attr = _KEY_TO_ATTR[key]
-        overrides[attr] = _parse_value(key, attr, raw)
-    return overrides
+    return dict(_parse_pair(pair) for pair in pairs)
 
 
 def parse_config_text(text: str) -> dict:
     """The ``key = value`` file body as an attribute dict."""
-    overrides = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: {stripped!r} is not 'key = value'")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEY_TO_ATTR:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        attr = _KEY_TO_ATTR[key]
-        overrides[attr] = _parse_value(key, attr, raw)
-    return overrides
+    lines = ((n, line.strip()) for n, line in enumerate(text.splitlines(), start=1))
+    return dict(_parse_pair(line, f"line {n}: ") for n, line in lines
+                if line and not line.startswith("#"))
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -155,15 +123,20 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         with open(path, encoding="utf-8") as f:
             merged.update(parse_config_text(f.read()))
     merged.update(overrides or {})
+    values = {None: {}, "loss": {}, "train": {}}
+    for attr, value in merged.items():
+        values[_SECTION[attr]][attr] = value
     try:
-        return replace(RunConfig(), **merged)
+        train = TrainConfig(loss=LossConfig(**values["loss"]), **values["train"])
+        return RunConfig(train=train, **values[None])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def format_config(config: RunConfig) -> str:
-    lines = [f"{_attr_to_key(f.name)} = {_format_value(getattr(config, f.name))}"
-             for f in fields(RunConfig)]
+    owners = {None: config, "loss": config.train.loss, "train": config.train}
+    lines = [f"{key} = {_format_value(getattr(owners[section], f.name))}"
+             for key, (section, f) in _KEYS.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,7 @@ COMB_MODES = ("additive", "multiplicative")
 COS_CLAMP = 1e-7
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossConfig:
     """Hyperparameters of the combined training loss.
 

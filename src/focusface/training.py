@@ -12,7 +12,7 @@ config and seed are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,12 +63,6 @@ class TrainConfig:
         if not isinstance(self.loss, LossConfig):
             raise ValueError("loss must be a LossConfig")
 
-    def effective_loss(self) -> LossConfig:
-        """Baseline mode trains with the margin losses only."""
-        if self.baseline:
-            return replace(self.loss, lambda_=0.0, alpha=0.0)
-        return self.loss
-
 
 class DivergenceError(RuntimeError):
     """A non-finite gradient reached the optimizer; the run cannot go on."""
@@ -110,7 +104,8 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
         elif not np.all(np.isfinite(g)):
             raise DivergenceError(
                 f"non-finite gradient at iteration {iteration} for {name}: "
-                f"norm={float(np.linalg.norm(g[np.isfinite(g)])):.6g}")
+                f"{int(np.count_nonzero(~np.isfinite(g)))} of {g.size} "
+                f"entries are inf or nan")
         v *= momentum
         v += g + weight_decay * p
         p -= lr * v
@@ -156,8 +151,7 @@ def train_iteration(state: TrainState, batch: PairBatch,
                     config: TrainConfig) -> dict:
     """One dual forward, one backward, one SGD step; returns the breakdown."""
     tape = Tape()
-    comb, components, leaves = build_losses(state.model, tape, batch,
-                                            config.effective_loss(),
+    comb, components, leaves = build_losses(state.model, tape, batch, config.loss,
                                             baseline=config.baseline)
     grads = tape.backward(comb)
     named_grads = {name: grads[t.node_id] for name, t in leaves.items()
@@ -200,8 +194,8 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
         raise ValueError(
             f"model expects {model.config.num_classes} classes, corpus has "
             f"{corpus.num_classes} training identities")
-    if config.freeze_backbone:
-        model.freeze("backbone")
+    # both ways: a checkpoint restores the mode it was trained in
+    model.freeze("backbone" if config.freeze_backbone else "none")
     state = init_state(model)
     log = []
     evaluable = _can_eval(corpus)

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,16 +30,34 @@ def run_cli(*argv):
 # -- config parsing ----------------------------------------------------------
 
 def test_config_round_trip_exact():
-    config = RunConfig(lr=0.07, lambda_=0.25, milestones=(10, 20, 30),
-                       baseline=True, out_dir="/tmp/x")
-    again = RunConfig(**parse_config_text(format_config(config)))
+    config = load_config(None, {"lr": 0.07, "lambda_": 0.25,
+                                "milestones": (10, 20, 30), "baseline": True,
+                                "coverage_lo": 0.3, "out_dir": "/tmp/x"})
+    assert config.train.lr == 0.07 and config.train.loss.lambda_ == 0.25
+    again = load_config(None, parse_config_text(format_config(config)))
     assert again == config
 
 
 def test_config_defaults_match_library_defaults():
     # `focusface train` and fit(TrainConfig()) train the same run
-    assert RunConfig().loss_config() == LossConfig()
-    assert RunConfig().train_config() == TrainConfig()
+    assert RunConfig().train == TrainConfig()
+    assert load_config(None).train == TrainConfig()
+    assert load_config(None).train.loss == LossConfig()
+
+
+def test_run_config_declares_no_library_field():
+    # loss and loop keys are declared once, in LossConfig and TrainConfig
+    own = {f.name for f in dataclasses.fields(RunConfig)}
+    library = {f.name for f in dataclasses.fields(LossConfig)}
+    library |= {f.name for f in dataclasses.fields(TrainConfig)}
+    assert not own & library
+
+
+def test_config_is_frozen_and_hashable():
+    config = RunConfig()
+    assert hash(config) == hash(RunConfig())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.train.loss.s = 1.0
 
 
 def test_config_unknown_key_named():
@@ -57,7 +78,8 @@ def test_config_file_with_comments(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text("# a comment\nlr = 0.05\n\nlambda = 0.3\n")
     config = load_config(str(path), {"seed": 9})
-    assert config.lr == 0.05 and config.lambda_ == 0.3 and config.seed == 9
+    assert config.train.lr == 0.05 and config.train.loss.lambda_ == 0.3
+    assert config.train.seed == 9
 
 
 # -- gen-data ----------------------------------------------------------------
@@ -96,11 +118,16 @@ def test_gen_data_invalid_coverage_names_key(tmp_path, capsys):
     out = str(tmp_path / "bad")
     code = run_cli("gen-data", "--out", out, "--set", "coverage_lo=0.0001")
     assert code != 0
-    assert "coverage_lo" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "coverage_lo" in err
     code = run_cli("gen-data", "--out", out,
                    "--set", "coverage_lo=0.9", "--set", "coverage_hi=0.2")
     assert code != 0
     assert "coverage_hi" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    with pytest.raises(ConfigError, match="coverage_lo"):
+        load_config(None, {"coverage_hi": 0.99})
 
 
 # -- train -------------------------------------------------------------------
@@ -154,7 +181,7 @@ def test_train_baseline_flag_recorded(corpus_dir, tmp_path):
                    "--set", "max_iterations=2", "--set", "milestones=1",
                    "--set", "eval_interval=5") == 0
     config = load_config(os.path.join(out, "config.txt"), {})
-    assert config.baseline is True
+    assert config.train.baseline is True
 
 
 def test_train_freeze_requires_init_checkpoint(corpus_dir, tmp_path, capsys):
@@ -181,6 +208,30 @@ def test_train_frozen_backbone_is_bit_identical(corpus_dir, run_dir, tmp_path):
         assert finish.params[name].tobytes() == start.params[name].tobytes()
     assert any(finish.params[name].tobytes() != start.params[name].tobytes()
                for name in moved)
+
+
+def test_train_from_frozen_checkpoint_trains_backbone(corpus_dir, run_dir,
+                                                      tmp_path, capsys):
+    # the checkpoint records frozen = backbone; without --freeze-backbone
+    # the continued run trains every parameter
+    short = ["--set", "max_iterations=3", "--set", "milestones=2",
+             "--set", "eval_interval=5"]
+    frozen_dir = tmp_path / "frozen"
+    assert run_cli("train", "--data", corpus_dir, "--out", str(frozen_dir),
+                   "--freeze-backbone", "--init-checkpoint",
+                   os.path.join(run_dir, "final.ckpt"), *short) == 0
+    init = str(frozen_dir / "final.ckpt")
+    out = tmp_path / "thawed"
+    capsys.readouterr()
+    assert run_cli("train", "--data", corpus_dir, "--out", str(out),
+                   "--init-checkpoint", init, *short) == 0
+    start, _ = load_checkpoint(init)
+    finish, _ = load_checkpoint(str(out / "final.ckpt"))
+    assert start.frozen == "backbone" and finish.frozen == "none"
+    total = f"{finish.total_count():,}"
+    assert f"trainable parameters: {total} of {total}" in capsys.readouterr().out
+    for name in (n for n in finish.params if n.startswith("conv")):
+        assert finish.params[name].tobytes() != start.params[name].tobytes(), name
 
 
 def test_train_missing_corpus_fails(tmp_path, capsys):
@@ -216,6 +267,7 @@ def test_train_divergence_is_one_line_error(corpus_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert re.search(r"non-finite gradient at iteration \d+ for [\w.]+:", err)
+    assert re.search(r": [1-9]\d* of \d+ entries are inf or nan$", err)
     assert not list(out.glob("*.ckpt"))
 
 
@@ -228,6 +280,27 @@ def test_train_invalid_loop_value_is_one_line_error(corpus_dir, tmp_path, capsys
     assert "batch_size" in err
     with pytest.raises(ConfigError, match="batch_size"):
         load_config(None, {"batch_size": 0})
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_silent_and_keeps_the_run(corpus_dir, tmp_path,
+                                                   unbuffered):
+    # `focusface train ... | true`: the reader is gone before the first print
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "focusface.cli", "train", "--data", corpus_dir,
+         "--out", str(out), "--set", "max_iterations=2",
+         "--set", "milestones=1", "--set", "eval_interval=5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert err == ""
+    for name in ("config.txt", "train.log", "best.ckpt", "final.ckpt"):
+        assert (out / name).exists(), name
 
 
 # -- eval / roc-export -------------------------------------------------------
@@ -244,6 +317,22 @@ def test_eval_um_report(corpus_dir, run_dir, tmp_path, capsys):
     for key in ("eer", "auc", "fmr100", "fmr10", "gmean", "imean"):
         assert isinstance(report[key], float), key
     assert report["protocol"] == "um" and report["split"] == "test"
+    # no config key applies to eval, so it echoes no config
+    assert not os.path.exists(os.path.join(out, "config.txt"))
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["--set", "lr=1"]),
+    ("roc-export", ["--config", "f", "--out", "roc.csv"]),
+])
+def test_eval_and_roc_export_take_no_config_flags(corpus_dir, run_dir, capsys,
+                                                  command, flags):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--checkpoint", os.path.join(run_dir, "best.ckpt"),
+                "--data", corpus_dir, "--mode", "um", *flags)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments" in err
 
 
 def test_eval_mask_roc(corpus_dir, run_dir, tmp_path, capsys):

@@ -110,14 +110,6 @@ def test_config_validation():
         TrainConfig(loss={"s": 64.0})
 
 
-def test_effective_loss_baseline_zeroes_aux_terms():
-    config = TrainConfig(baseline=True, loss=LossConfig(s=30.0, beta=0.7))
-    eff = config.effective_loss()
-    assert eff.lambda_ == 0.0 and eff.alpha == 0.0
-    assert eff.s == 30.0 and eff.beta == 0.7
-    assert TrainConfig().effective_loss() == LossConfig()
-
-
 # -- loss graph --------------------------------------------------------------
 
 def small_batch(corpus, it=0, n=8, seed=0):
@@ -127,6 +119,21 @@ def small_batch(corpus, it=0, n=8, seed=0):
 @pytest.fixture(scope="module")
 def corpus():
     return build_splits(20, 8, dataset_seed=7)
+
+
+def test_baseline_iteration_ignores_aux_loss_weights(corpus):
+    # the baseline graph reads only s, m and beta: lambda and alpha are inert
+    batch = small_batch(corpus)
+    runs = []
+    for loss in (LossConfig(lambda_=0.7, alpha=2.0), LossConfig()):
+        state = init_state(tiny_model(seed=3, num_classes=corpus.num_classes))
+        breakdown = train_iteration(state, batch, TrainConfig(
+            batch_size=8, baseline=True, loss=loss))
+        runs.append((state.model.params, breakdown))
+    (params_a, breakdown_a), (params_b, breakdown_b) = runs
+    assert breakdown_a == breakdown_b
+    for name, value in params_a.items():
+        assert value.tobytes() == params_b[name].tobytes(), name
 
 
 def test_baseline_path_matches_zeroed_full_path(corpus):
@@ -310,6 +317,19 @@ def test_fit_frozen_backbone_bit_identical(corpus):
         assert np.array_equal(state.model.params[name], value)
     assert not np.array_equal(state.model.params["recognition.weight"],
                               tiny_model(seed=9).params["recognition.weight"])
+
+
+def test_fit_trains_backbone_of_a_frozen_model(corpus):
+    # fit sets the mode from the config both ways: a model restored frozen
+    # trains every parameter unless freeze_backbone asks otherwise
+    model = tiny_model(seed=9, num_classes=corpus.num_classes).freeze("backbone")
+    before = {k: v.copy() for k, v in model.params.items()}
+    state, _ = fit(short_config(max_iterations=3), corpus, model=model)
+    assert state.model.frozen == "none"
+    assert state.model.trainable_count() == state.model.total_count()
+    assert set(state.velocities) == set(before)
+    for name, value in before.items():
+        assert not np.array_equal(state.model.params[name], value), name
 
 
 def test_fit_without_enough_val_identities_skips_eval():
