@@ -8,8 +8,8 @@ model, and prints the exact parameter accounting at both scales.
 import numpy as np
 
 from focusface.data import build_splits, train_batch
-from focusface.model import ToyBackboneConfig, ToyModel, embed_images
-from focusface.params import full_scale_modules, summarize, toy_scale_modules
+from focusface.model import ToyBackboneConfig, ToyModel, embed_images, toy_scale_modules
+from focusface.params import full_scale_modules, summarize
 
 # the default corpus: 33 identities split 20 train / 5 val / 8 test
 corpus = build_splits()
@@ -49,9 +49,9 @@ print(f"\nrecognition embeddings: {embeddings.shape}, "
 print(f"mask-probability of [unmasked, masked]: {mask_probs.round(4)}")
 
 # parameter accounting, exact at both scales
-for label, modules in (("full scale", full_scale_modules()),
-                       ("toy scale", toy_scale_modules())):
-    s = summarize(modules)
+for label, counts in (("full scale", full_scale_modules()),
+                      ("toy scale", toy_scale_modules())):
+    s = summarize(counts)
     rows = ", ".join(f"{name} {count:,}" for name, count in s.module_counts)
     print(f"\n{label}: {rows}")
     print(f"  scratch {s.scratch_total:,} | frozen-backbone trainable "

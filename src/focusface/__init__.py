@@ -15,8 +15,9 @@ Layers of the package, bottom up:
   masked/unmasked forward passes per iteration; best-checkpoint selection
 - ``metrics``: verification metrics (EER, FMR100, FMR10, ROC/AUC, score
   means) and the mask-detection ROC
-- ``params``: exact parameter accounting for the full-scale architecture
-  and the toy one
+- ``params``: exact parameter counts of the full-scale architecture in
+  plain integer arithmetic (the toy table is ``model.toy_scale_modules``,
+  read off the live parameter layout)
 - ``checks``: finite-difference gradient verification registry
 - ``cli``: the ``focusface`` command (gen-data, train, eval, paramcount,
   gradcheck, roc-export)
@@ -32,8 +33,9 @@ from .model import (
     ToyModel,
     load_checkpoint,
     save_checkpoint,
+    toy_scale_modules,
 )
-from .params import full_scale_modules, summarize, toy_scale_modules
+from .params import full_scale_modules, summarize
 from .training import TrainConfig, best_model, fit
 
 __all__ = [

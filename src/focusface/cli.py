@@ -18,8 +18,11 @@ take no config flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
+
+import numpy as np
 
 from . import checks, params
 from .config import (
@@ -38,7 +41,7 @@ from .metrics import (
     write_metrics_report,
     write_roc_csv,
 )
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint, toy_scale_modules
 from .training import DivergenceError, best_model, fit
 
 EVAL_MODES = ("um", "mm", "mask-roc")
@@ -110,6 +113,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                      "(a frozen backbone must come from somewhere)")
     try:
         corpus = load_corpus(config.data_dir)
+        # echo the corpus the run reads, not the corpus keys' defaults
+        lo, hi = corpus.coverage_range
+        config = dataclasses.replace(
+            config, num_identities=corpus.num_identities,
+            samples_per_identity=corpus.samples_per_identity,
+            dataset_seed=corpus.dataset_seed, coverage_lo=lo, coverage_hi=hi)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot load corpus from {config.data_dir}: {exc}")
     model = None
@@ -119,7 +128,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load checkpoint {config.init_checkpoint}: {exc}")
     try:
-        state, log = fit(config.train, corpus, model=model)
+        # a diverging run overflows before the guard stops it; its one
+        # error line is the report, not numpy's warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            state, log = fit(config.train, corpus, model=model)
     except DivergenceError as exc:
         return _fail(f"training diverged, no checkpoint written: {exc}")
     trained = state.model
@@ -185,10 +197,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_paramcount(args: argparse.Namespace) -> int:
     if args.scale == "paper":
-        modules = params.full_scale_modules()
+        counts = params.full_scale_modules()
     else:
-        modules = params.toy_scale_modules()
-    summary = params.summarize(modules)
+        counts = toy_scale_modules()
+    summary = params.summarize(counts)
     rows = list(summary.module_counts)
     rows += [("total (training, scratch)", summary.scratch_total),
              ("total (training, frozen backbone)", summary.frozen_trainable),

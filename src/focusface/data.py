@@ -228,6 +228,12 @@ class Corpus:
     def num_classes(self) -> int:
         return len(self.train_identity_ids)
 
+    @property
+    def num_identities(self) -> int:
+        """Train, validation and test identities together."""
+        return self.num_classes + len({*self.val.references.identity_ids.tolist(),
+                                       *self.test.references.identity_ids.tolist()})
+
 
 def split_identity_counts(num_identities: int):
     """(train, val, test) identity counts at the default 20:5:8 proportion."""

@@ -10,23 +10,15 @@ by the flat little-endian float32 parameter arrays in header order.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeError, Tape, Tensor
-from .params import (
-    TOY_IN_CHANNELS,
-    TOY_INPUT_HW,
-    TOY_MASK_DIM,
-    TOY_NUM_CLASSES,
-    TOY_RECOGNITION_DIM,
-    TOY_STAGES,
-    toy_flat_dim,
-    toy_scale_modules,
-)
+from .params import ARCFACE, BACKBONE, MASK_CLASSIFIER, MASK_HEAD, RECOGNITION_HEAD
 
 CHECKPOINT_MAGIC = "focusface-checkpoint v1"
 FREEZE_MODES = ("none", "backbone")
@@ -36,12 +28,12 @@ FREEZE_MODES = ("none", "backbone")
 class ToyBackboneConfig:
     """Architecture of the toy model; every field is checkpointed."""
 
-    input_hw: int = TOY_INPUT_HW
-    in_channels: int = TOY_IN_CHANNELS
-    stages: tuple = TOY_STAGES  # (out_channels, stride) pairs, 3x3 kernels
-    recognition_dim: int = TOY_RECOGNITION_DIM
-    mask_dim: int = TOY_MASK_DIM
-    num_classes: int = TOY_NUM_CLASSES
+    input_hw: int = 32
+    in_channels: int = 1
+    stages: tuple = ((8, 2), (16, 2), (32, 2))  # (out_channels, stride), 3x3 kernels
+    recognition_dim: int = 64
+    mask_dim: int = 8
+    num_classes: int = 20
 
     def __post_init__(self):
         if self.recognition_dim < 8:
@@ -54,7 +46,10 @@ class ToyBackboneConfig:
 
     @property
     def flat_dim(self) -> int:
-        return toy_flat_dim(self.input_hw, self.stages)
+        hw = self.input_hw
+        for _, stride in self.stages:
+            hw = (hw + 2 - 3) // stride + 1  # 3x3 kernel, padding 1
+        return self.stages[-1][0] * hw * hw
 
 
 @dataclass
@@ -88,6 +83,21 @@ def _param_layout(config: ToyBackboneConfig):
         ("arcface.weight", (config.recognition_dim, config.num_classes)),
     ]
     return layout
+
+
+# parameter-name prefix -> module row; every conv* parameter is backbone
+_HEAD_ROWS = {"recognition": RECOGNITION_HEAD, "mask": MASK_HEAD,
+              "arcface": ARCFACE, "mask_classifier": MASK_CLASSIFIER}
+
+
+def toy_scale_modules(config: ToyBackboneConfig = ToyBackboneConfig()) -> dict:
+    """Parameter count of each module row, summed from the live layout."""
+    counts = dict.fromkeys((BACKBONE, *_HEAD_ROWS.values()), 0)
+    for name, shape in _param_layout(config):
+        prefix = name.split(".")[0]
+        row = BACKBONE if prefix.startswith("conv") else _HEAD_ROWS[prefix]
+        counts[row] += math.prod(shape)
+    return counts
 
 
 # init gains over the usual sqrt(2/fan_in), for stability at the fixed
@@ -251,16 +261,6 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
     return embeddings, mask_probs
 
 
-def descriptor_modules(config: ToyBackboneConfig) -> dict:
-    """Shape-only descriptor table matching this live architecture."""
-    return toy_scale_modules(num_classes=config.num_classes,
-                             input_hw=config.input_hw,
-                             in_channels=config.in_channels,
-                             stages=config.stages,
-                             recognition_dim=config.recognition_dim,
-                             mask_dim=config.mask_dim)
-
-
 # -- checkpoint io -----------------------------------------------------------
 
 def save_checkpoint(model: ToyModel, path: str, seed: int = 0) -> None:
@@ -333,5 +333,10 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
         offset += size * 4
     if offset != len(body):
         raise ValueError(f"{path} has {len(body)} payload bytes, expected {offset}")
+    for name, value in params.items():
+        bad = int(np.count_nonzero(~np.isfinite(value)))
+        if bad:
+            raise ValueError(f"{path}: parameter {name}: {bad} of {value.size} "
+                             "entries are inf or nan")
     model = ToyModel(config, params, frozen=fields.get("frozen", "none"))
     return model, int(fields.get("seed", 0))

@@ -1,25 +1,16 @@
-"""Exact parameter accounting from shape-only layer descriptors.
+"""Exact parameter accounting in plain integer arithmetic.
 
 The full-scale architecture (112x112 input, improved-residual 100-layer
-backbone, dual embedding heads, margin classifier) is audited without ever
-materializing weights; the toy descriptors mirror the live trainable model
-layer by layer and are cross-checked against it in tests.
+backbone, dual embedding heads, margin classifier) is counted layer by layer
+without ever materializing weights.  The toy table is read off the live
+model's parameter layout instead (``model.toy_scale_modules``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-LAYER_KINDS = (
-    "conv2d",
-    "fully_connected",
-    "batch_norm",
-    "prelu_per_channel",
-    "arcface_weight",
-    "bias",
-)
-
-# Module row names shared by the descriptor tables and the CLI output.
+# Module row names, in table order, shared by both scales and the CLI output.
 BACKBONE = "backbone"
 RECOGNITION_HEAD = "recognition-embedding"
 MASK_HEAD = "mask-embedding"
@@ -34,94 +25,35 @@ FULL_MASK_DIM = 32
 FULL_NUM_CLASSES = 85742
 FULL_FLAT_DIM = 512 * 7 * 7  # 112 input halved by the stem-less 4 strided stages
 
-# Toy architecture defaults, shared with the live model config.
-TOY_INPUT_HW = 32
-TOY_IN_CHANNELS = 1
-TOY_STAGES = ((8, 2), (16, 2), (32, 2))  # (out_channels, stride), kernel 3x3
-TOY_RECOGNITION_DIM = 64
-TOY_MASK_DIM = 8
-TOY_NUM_CLASSES = 20
+
+def _conv(i, o, k=3, bias=False) -> int:
+    return o * i * k * k + (o if bias else 0)
 
 
-@dataclass(frozen=True)
-class LayerDescriptor:
-    """Shape-only description of one parameterized layer.
-
-    Fields are interpreted per kind: conv2d and fully_connected use
-    in_dim/out_dim (conv also kernel and the bias flag), batch_norm and
-    prelu_per_channel use channels, arcface_weight uses in_dim (embedding)
-    and out_dim (classes), bias uses out_dim alone.
-    """
-
-    kind: str
-    in_dim: int = 0
-    out_dim: int = 0
-    kernel: int = 1
-    channels: int = 0
-    bias: bool = False
-    affine: bool = True
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind: {self.kind!r}")
-        if min(self.in_dim, self.out_dim, self.kernel, self.channels) < 0:
-            raise ValueError(f"negative dimension in {self!r}")
-
-    @property
-    def count(self) -> int:
-        if self.kind == "conv2d":
-            n = self.out_dim * self.in_dim * self.kernel * self.kernel
-            return n + (self.out_dim if self.bias else 0)
-        if self.kind == "fully_connected":
-            return self.out_dim * self.in_dim + (self.out_dim if self.bias else 0)
-        if self.kind == "batch_norm":
-            return 2 * self.channels if self.affine else 0
-        if self.kind == "prelu_per_channel":
-            return self.channels
-        if self.kind == "arcface_weight":
-            return self.in_dim * self.out_dim
-        return self.out_dim  # bias
+def _bn(c) -> int:
+    return 2 * c  # affine scale and shift
 
 
-def param_count(descriptors) -> int:
-    """Total parameter count of a descriptor sequence (additive by layer)."""
-    return sum(d.count for d in descriptors)
+def _prelu(c) -> int:
+    return c  # one slope per channel
 
 
-def _conv(i, o, k=3, bias=False):
-    return LayerDescriptor("conv2d", in_dim=i, out_dim=o, kernel=k, bias=bias)
-
-
-def _bn(c):
-    return LayerDescriptor("batch_norm", channels=c)
-
-
-def _prelu(c):
-    return LayerDescriptor("prelu_per_channel", channels=c)
-
-
-def _fc(i, o, bias):
-    return LayerDescriptor("fully_connected", in_dim=i, out_dim=o, bias=bias)
+def _fc(i, o, bias) -> int:
+    return o * i + (o if bias else 0)
 
 
 def _residual_block(in_ch, out_ch, downsample):
     # norm - conv3x3 - norm - prelu - conv3x3(strided) - norm, with a
     # 1x1 projection shortcut on the first (striding) block of each stage
-    layers = [
-        _bn(in_ch),
-        _conv(in_ch, out_ch),
-        _bn(out_ch),
-        _prelu(out_ch),
-        _conv(out_ch, out_ch),
-        _bn(out_ch),
-    ]
+    layers = [_bn(in_ch), _conv(in_ch, out_ch), _bn(out_ch), _prelu(out_ch),
+              _conv(out_ch, out_ch), _bn(out_ch)]
     if downsample:
         layers += [_conv(in_ch, out_ch, k=1), _bn(out_ch)]
     return layers
 
 
-def full_backbone_descriptors() -> tuple[LayerDescriptor, ...]:
-    """Improved-residual 100-layer backbone, embedding head excluded."""
+def full_backbone_layers() -> tuple[int, ...]:
+    """Per-layer counts of the improved-residual 100-layer backbone, no head."""
     layers = [_conv(3, 64), _bn(64), _prelu(64)]
     in_ch = 64
     for out_ch, blocks in zip(FULL_STAGE_CHANNELS, FULL_STAGE_BLOCKS):
@@ -133,52 +65,15 @@ def full_backbone_descriptors() -> tuple[LayerDescriptor, ...]:
     return tuple(layers)
 
 
-def full_scale_modules(num_classes: int = FULL_NUM_CLASSES) -> dict:
-    """Descriptor table for the full-scale architecture, keyed by module row."""
+def full_scale_modules() -> dict:
+    """Parameter count of each module row of the full-scale architecture."""
     return {
-        BACKBONE: full_backbone_descriptors(),
-        RECOGNITION_HEAD: (_fc(FULL_FLAT_DIM, FULL_EMBED_DIM, bias=False),
-                           _bn(FULL_EMBED_DIM)),
-        MASK_HEAD: (_fc(FULL_FLAT_DIM, FULL_MASK_DIM, bias=False),
-                    _bn(FULL_MASK_DIM)),
-        ARCFACE: (LayerDescriptor("arcface_weight", in_dim=FULL_EMBED_DIM,
-                                  out_dim=num_classes),),
-        MASK_CLASSIFIER: (_fc(FULL_MASK_DIM, 2, bias=True),),
-    }
-
-
-def conv_output_hw(hw: int, kernel: int = 3, stride: int = 1,
-                   padding: int = 1) -> int:
-    return (hw + 2 * padding - kernel) // stride + 1
-
-
-def toy_flat_dim(input_hw: int = TOY_INPUT_HW, stages=TOY_STAGES) -> int:
-    hw = input_hw
-    for _, stride in stages:
-        hw = conv_output_hw(hw, stride=stride)
-    return stages[-1][0] * hw * hw
-
-
-def toy_scale_modules(num_classes: int = TOY_NUM_CLASSES,
-                      input_hw: int = TOY_INPUT_HW,
-                      in_channels: int = TOY_IN_CHANNELS,
-                      stages=TOY_STAGES,
-                      recognition_dim: int = TOY_RECOGNITION_DIM,
-                      mask_dim: int = TOY_MASK_DIM) -> dict:
-    """Descriptor table mirroring the live toy model layer by layer."""
-    backbone = []
-    cin = in_channels
-    for cout, _ in stages:
-        backbone += [_conv(cin, cout, bias=True), _prelu(1)]  # shared scalar slope
-        cin = cout
-    flat = toy_flat_dim(input_hw, stages)
-    return {
-        BACKBONE: tuple(backbone),
-        RECOGNITION_HEAD: (_fc(flat, recognition_dim, bias=True),),
-        MASK_HEAD: (_fc(flat, mask_dim, bias=True),),
-        ARCFACE: (LayerDescriptor("arcface_weight", in_dim=recognition_dim,
-                                  out_dim=num_classes),),
-        MASK_CLASSIFIER: (_fc(mask_dim, 2, bias=True),),
+        BACKBONE: sum(full_backbone_layers()),
+        RECOGNITION_HEAD: (_fc(FULL_FLAT_DIM, FULL_EMBED_DIM, bias=False)
+                           + _bn(FULL_EMBED_DIM)),
+        MASK_HEAD: _fc(FULL_FLAT_DIM, FULL_MASK_DIM, bias=False) + _bn(FULL_MASK_DIM),
+        ARCFACE: FULL_EMBED_DIM * FULL_NUM_CLASSES,  # one class-centre column each
+        MASK_CLASSIFIER: _fc(FULL_MASK_DIM, 2, bias=True),
     }
 
 
@@ -202,8 +97,8 @@ class ParamSummary:
         return 1.0 - self.frozen_trainable / self.scratch_total
 
 
-def summarize(modules: dict) -> ParamSummary:
-    counts = {name: param_count(layers) for name, layers in modules.items()}
+def summarize(counts: dict) -> ParamSummary:
+    """Totals of a ``{row: count}`` table such as ``full_scale_modules()``."""
     scratch = sum(counts.values())
     frozen = scratch - counts[BACKBONE]
     inference = counts[BACKBONE] + counts[RECOGNITION_HEAD]

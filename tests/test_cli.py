@@ -19,7 +19,7 @@ from focusface.config import (
 )
 from focusface.data import load_corpus
 from focusface.losses import LossConfig
-from focusface.model import load_checkpoint
+from focusface.model import load_checkpoint, save_checkpoint
 from focusface.training import TrainConfig
 
 
@@ -234,6 +234,40 @@ def test_train_from_frozen_checkpoint_trains_backbone(corpus_dir, run_dir,
         assert finish.params[name].tobytes() != start.params[name].tobytes(), name
 
 
+def test_train_echoes_the_corpus_it_reads(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert run_cli("gen-data", "--out", str(corpus), "--dataset-seed", "5",
+                   "--set", "num_identities=6", "--set", "samples_per_identity=3",
+                   "--set", "coverage_lo=0.3", "--set", "coverage_hi=0.45") == 0
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", str(corpus), "--out", str(out),
+                   "--set", "max_iterations=2", "--set", "milestones=1",
+                   "--set", "eval_interval=5", "--set", "batch_size=4") == 0
+    made = load_config(str(corpus / "config.txt"))
+    echoed = load_config(str(out / "config.txt"))
+    keys = ("num_identities", "samples_per_identity", "dataset_seed",
+            "coverage_lo", "coverage_hi")
+    assert [getattr(echoed, k) for k in keys] == [6, 3, 5, 0.3, 0.45]
+    assert [getattr(echoed, k) for k in keys] == [getattr(made, k) for k in keys]
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_non_finite_checkpoint_is_one_line_error(corpus_dir, run_dir, tmp_path,
+                                                 capsys, command):
+    model, seed = load_checkpoint(os.path.join(run_dir, "final.ckpt"))
+    model.params["recognition.weight"][0, 0] = np.nan
+    path = str(tmp_path / "nan.ckpt")
+    save_checkpoint(model, path, seed=seed)
+    argv = (["eval", "--checkpoint", path, "--mode", "um"] if command == "eval"
+            else ["train", "--init-checkpoint", path,
+                  "--out", str(tmp_path / "o"), *FAST])
+    assert run_cli(*argv, "--data", corpus_dir) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nan.ckpt: parameter recognition.weight: 1 of " in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_missing_corpus_fails(tmp_path, capsys):
     code = run_cli("train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o"))
@@ -257,13 +291,13 @@ def test_bad_manifest_is_one_line_error(corpus_dir, run_dir, tmp_path, capsys):
         assert "samples_per_identity" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
-def test_train_divergence_is_one_line_error(corpus_dir, tmp_path, capsys):
+def test_train_divergence_is_one_line_error(corpus_dir, tmp_path, capsys, recwarn):
     out = tmp_path / "diverged"
     code = run_cli("train", "--data", corpus_dir, "--out", str(out),
                    "--set", "lr=1e7", *FAST)
     assert code != 0
+    # numpy's overflow and invalid-value warnings on the way stay silent
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert re.search(r"non-finite gradient at iteration \d+ for [\w.]+:", err)
@@ -402,8 +436,8 @@ def test_paramcount_freeze_flag(capsys):
 
 def test_paramcount_toy_matches_live_model(capsys):
     assert run_cli("paramcount", "--scale", "toy") == 0
-    from focusface.model import ToyBackboneConfig, ToyModel
-    from focusface.params import toy_scale_modules, summarize
+    from focusface.model import ToyBackboneConfig, ToyModel, toy_scale_modules
+    from focusface.params import summarize
     summary = summarize(toy_scale_modules())
     model = ToyModel.init(ToyBackboneConfig(), seed=0)
     assert summary.scratch_total == model.total_count()

@@ -7,12 +7,12 @@ from focusface.autodiff import ShapeError, Tape
 from focusface.model import (
     ToyBackboneConfig,
     ToyModel,
-    descriptor_modules,
     embed_images,
     load_checkpoint,
     save_checkpoint,
+    toy_scale_modules,
 )
-from focusface.params import BACKBONE, param_count, summarize
+from focusface.params import BACKBONE, summarize
 
 
 def small_batch(rng, n=3):
@@ -78,20 +78,17 @@ def test_init_deterministic_per_seed():
     assert not np.array_equal(a.params["conv0.weight"], c.params["conv0.weight"])
 
 
-def test_live_counts_match_descriptor_table():
-    config = ToyBackboneConfig()
+def test_nondefault_config_counts_match():
+    config = ToyBackboneConfig(input_hw=24, in_channels=3, stages=((4, 2), (12, 1)),
+                               recognition_dim=16, mask_dim=4, num_classes=7)
+    counts = toy_scale_modules(config)
+    summary = summarize(counts)
     model = ToyModel.init(config, seed=0)
-    summary = summarize(descriptor_modules(config))
     assert model.total_count() == summary.scratch_total
+    conv = sum(p.size for n, p in model.params.items() if n.startswith("conv"))
+    assert counts[BACKBONE] == conv == (4 * 3 * 9 + 4 + 1) + (12 * 4 * 9 + 12 + 1)
     model.freeze("backbone")
     assert model.trainable_count() == summary.frozen_trainable
-
-
-def test_nondefault_config_counts_match():
-    config = ToyBackboneConfig(stages=((4, 2), (12, 2)), recognition_dim=16,
-                               mask_dim=4, num_classes=7)
-    model = ToyModel.init(config, seed=0)
-    assert model.total_count() == summarize(descriptor_modules(config)).scratch_total
 
 
 def test_frozen_backbone_gradients_absent():
@@ -185,8 +182,13 @@ def test_checkpoint_missing_header_field_named(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_backbone_descriptor_count_matches_live_conv_params():
-    config = ToyBackboneConfig()
-    model = ToyModel.init(config, seed=0)
-    live = sum(p.size for n, p in model.params.items() if n.startswith("conv"))
-    assert param_count(descriptor_modules(config)[BACKBONE]) == live
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checkpoint_non_finite_parameter_named(tmp_path, bad):
+    model = ToyModel.init(seed=9)
+    model.params["recognition.weight"][2, 3] = bad
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, str(path))
+    with pytest.raises(ValueError,
+                       match=r"m\.ckpt: parameter recognition\.weight: 1 of 32768 "
+                             r"entries are inf or nan"):
+        load_checkpoint(str(path))

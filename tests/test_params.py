@@ -1,32 +1,21 @@
-"""Parameter-count rules, full-scale totals, and descriptor properties."""
+"""Parameter-count rules, full-scale totals, and the toy table."""
 
-import numpy as np
-import pytest
-
+from focusface.model import ToyBackboneConfig, toy_scale_modules
 from focusface.params import (
     ARCFACE,
     BACKBONE,
     FULL_NUM_CLASSES,
-    LayerDescriptor,
     MASK_CLASSIFIER,
     MASK_HEAD,
     RECOGNITION_HEAD,
-    conv_output_hw,
-    full_backbone_descriptors,
+    _bn,
+    _conv,
+    _fc,
+    _prelu,
+    full_backbone_layers,
     full_scale_modules,
-    param_count,
     summarize,
-    toy_flat_dim,
-    toy_scale_modules,
 )
-
-
-def _fc(i, o, bias):
-    return LayerDescriptor("fully_connected", in_dim=i, out_dim=o, bias=bias)
-
-
-def _bn(c):
-    return LayerDescriptor("batch_norm", channels=c)
 
 
 # -- independent closed-form oracle, plain integer arithmetic ----------------
@@ -51,78 +40,56 @@ def _oracle_backbone_total():
 # -- per-layer counting rules ------------------------------------------------
 
 def test_recognition_head_count():
-    assert param_count([_fc(25088, 512, bias=False), _bn(512)]) == 12_846_080
+    assert _fc(25088, 512, bias=False) + _bn(512) == 12_846_080
 
 
 def test_mask_head_count():
-    assert param_count([_fc(25088, 32, bias=False), _bn(32)]) == 802_880
+    assert _fc(25088, 32, bias=False) + _bn(32) == 802_880
 
 
 def test_arcface_weight_count():
-    d = LayerDescriptor("arcface_weight", in_dim=512, out_dim=85_742)
-    assert d.count == 43_899_904
+    assert full_scale_modules()[ARCFACE] == 512 * 85_742 == 43_899_904
 
 
 def test_mask_classifier_count():
-    assert param_count([_fc(32, 2, bias=True)]) == 66
+    assert _fc(32, 2, bias=True) == 66
 
 
 def test_tiny_fc_with_bias():
-    assert param_count([_fc(1, 1, bias=True)]) == 2
+    assert _fc(1, 1, bias=True) == 2
 
 
 def test_conv_count_with_and_without_bias():
-    d = LayerDescriptor("conv2d", in_dim=3, out_dim=64, kernel=3)
-    assert d.count == 1728
-    db = LayerDescriptor("conv2d", in_dim=3, out_dim=64, kernel=3, bias=True)
-    assert db.count == 1792
+    assert _conv(3, 64) == 1728
+    assert _conv(3, 64, bias=True) == 1792
+    assert _conv(64, 128, k=1) == 8192
 
 
-def test_batch_norm_affine_flag():
-    assert LayerDescriptor("batch_norm", channels=64).count == 128
-    assert LayerDescriptor("batch_norm", channels=64, affine=False).count == 0
+def test_batch_norm_count():
+    assert _bn(64) == 128  # scale and shift per channel
 
 
 def test_prelu_and_bias_counts():
-    assert LayerDescriptor("prelu_per_channel", channels=64).count == 64
-    assert LayerDescriptor("bias", out_dim=7).count == 7
+    assert _prelu(64) == 64
+    assert _fc(5, 7, bias=True) - _fc(5, 7, bias=False) == 7
 
 
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError, match="unknown layer kind"):
-        LayerDescriptor("dropout")
-
-
-def test_negative_dimension_rejected():
-    with pytest.raises(ValueError, match="negative"):
-        LayerDescriptor("fully_connected", in_dim=-1, out_dim=4)
-
-
-# -- additivity property -----------------------------------------------------
-
-def test_param_count_additive_over_concatenation():
-    layers = list(full_backbone_descriptors())
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        cut = int(rng.integers(0, len(layers) + 1))
-        assert param_count(layers) == (param_count(layers[:cut])
-                                       + param_count(layers[cut:]))
-
+# -- integer counts ----------------------------------------------------------
 
 def test_all_counts_nonnegative_integers():
-    for layers in full_scale_modules().values():
-        for d in layers:
-            assert isinstance(d.count, int) and d.count >= 0
+    counts = [*full_backbone_layers(), *full_scale_modules().values(),
+              *toy_scale_modules().values()]
+    assert all(type(n) is int and n >= 0 for n in counts)
 
 
 # -- full-scale totals -------------------------------------------------------
 
 def test_full_backbone_total():
-    assert param_count(full_backbone_descriptors()) == 52_309_568
+    assert sum(full_backbone_layers()) == 52_309_568
 
 
 def test_full_backbone_matches_closed_form_oracle():
-    assert param_count(full_backbone_descriptors()) == _oracle_backbone_total()
+    assert sum(full_backbone_layers()) == _oracle_backbone_total()
 
 
 def test_full_scale_module_rows():
@@ -150,12 +117,14 @@ def test_num_classes_consistent_with_arcface_total():
     assert 43_899_904 // 512 == FULL_NUM_CLASSES
 
 
-# -- toy descriptors ---------------------------------------------------------
+# -- toy table, read off the live layout -------------------------------------
 
 def test_toy_flat_dim():
     # 32 -> 16 -> 8 -> 4 with stride-2 3x3 convs, padding 1
-    assert conv_output_hw(32, stride=2) == 16
-    assert toy_flat_dim() == 32 * 4 * 4
+    assert ToyBackboneConfig().flat_dim == 32 * 4 * 4
+    # 31 -> 16 -> 8 -> 4 and 32 -> 32 -> 16 -> 8: odd sizes round up
+    assert ToyBackboneConfig(input_hw=31).flat_dim == 32 * 4 * 4
+    assert ToyBackboneConfig(stages=((8, 1), (16, 2), (4, 2))).flat_dim == 4 * 8 * 8
 
 
 def test_toy_module_rows_have_expected_shapes():
