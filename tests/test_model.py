@@ -78,6 +78,15 @@ def test_init_deterministic_per_seed():
     assert not np.array_equal(a.params["conv0.weight"], c.params["conv0.weight"])
 
 
+def test_live_counts_match_descriptor_table():
+    config = ToyBackboneConfig()
+    model = ToyModel.init(config, seed=0)
+    summary = summarize(toy_scale_modules(config))
+    assert model.total_count() == summary.scratch_total
+    model.freeze("backbone")
+    assert model.trainable_count() == summary.frozen_trainable
+
+
 def test_nondefault_config_counts_match():
     config = ToyBackboneConfig(input_hw=24, in_channels=3, stages=((4, 2), (12, 1)),
                                recognition_dim=16, mask_dim=4, num_classes=7)
@@ -192,3 +201,12 @@ def test_checkpoint_non_finite_parameter_named(tmp_path, bad):
                        match=r"m\.ckpt: parameter recognition\.weight: 1 of 32768 "
                              r"entries are inf or nan"):
         load_checkpoint(str(path))
+
+
+def test_backbone_descriptor_count_matches_live_conv_params():
+    config = ToyBackboneConfig()
+    model = ToyModel.init(config, seed=0)
+    live = sum(p.size for n, p in model.params.items() if n.startswith("conv"))
+    # 3x3 conv weight + bias + PReLU slope per stage, (8, 16, 32) channels
+    expected = (8 * 1 * 9 + 8 + 1) + (16 * 8 * 9 + 16 + 1) + (32 * 16 * 9 + 32 + 1)
+    assert toy_scale_modules(config)[BACKBONE] == live == expected
