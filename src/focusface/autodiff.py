@@ -392,9 +392,8 @@ class Tape:
         return {pid: grads[pid] for pid in self.parameters}
 
 
-def grad_check(build_fn, inputs: list[np.ndarray], h: float = 1e-5,
-               dtype=np.float64) -> float:
-    """Max relative error between tape gradients and central differences.
+def grad_check(build_fn, inputs: list[np.ndarray], h: float = 1e-5) -> float:
+    """Max relative error between float64 tape gradients and central differences.
 
     ``build_fn(tape, *tensors)`` must construct a scalar loss from trainable
     leaves created out of ``inputs``.  The relative error is
@@ -403,13 +402,13 @@ def grad_check(build_fn, inputs: list[np.ndarray], h: float = 1e-5,
     non-smooth regions (prelu kinks, margin fallback boundaries); that is
     the caller's responsibility.
     """
-    tape = Tape(dtype=dtype)
+    tape = Tape()
     tensors = [tape.leaf(x, trainable=True) for x in inputs]
     loss = build_fn(tape, *tensors)
     analytic = tape.backward(loss)
 
     def eval_at(point_arrays):
-        t = Tape(dtype=dtype)
+        t = Tape()
         ts = [t.leaf(x) for x in point_arrays]
         return float(build_fn(t, *ts).data)
 

@@ -10,9 +10,10 @@ roc-export  write the ROC sweep of a checkpoint as CSV
 Every command is deterministic given its inputs and seed.  ``gen-data``
 and ``train`` read the run configuration (``--config FILE`` and repeatable
 ``--set KEY=VALUE``) and echo the effective configuration into their
-output directory as ``config.txt``; rerunning with that file reproduces
-the run exactly.  No config key applies to the other commands, so they
-take no config flags.
+output directory as ``config.txt``; rerunning with that file at the same
+BLAS thread count reproduces the run exactly.  No config key applies to
+the other commands, so they take no config flags.  ``main`` reports every
+bad input as one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -42,14 +43,9 @@ from .metrics import (
     write_roc_csv,
 )
 from .model import load_checkpoint, save_checkpoint, toy_scale_modules
-from .training import DivergenceError, best_model, fit
+from .training import DivergenceError, best_model, check_float32, fit
 
 EVAL_MODES = ("um", "mm", "mask-roc")
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _group(n: int) -> str:
@@ -78,7 +74,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         extra["dataset_seed"] = args.dataset_seed
     config = _load(args, extra)
     if not config.out_dir:
-        return _fail("gen-data needs an output directory (--out or out_dir)")
+        raise ConfigError("gen-data needs an output directory (--out or out_dir)")
     corpus = build_splits(config.num_identities, config.samples_per_identity,
                           config.dataset_seed,
                           coverage_range=(config.coverage_lo, config.coverage_hi))
@@ -105,38 +101,31 @@ def cmd_train(args: argparse.Namespace) -> int:
         extra["freeze_backbone"] = True
     config = _load(args, extra)
     if not config.data_dir:
-        return _fail("train needs a corpus directory (--data or data_dir)")
+        raise ConfigError("train needs a corpus directory (--data or data_dir)")
     if not config.out_dir:
-        return _fail("train needs an output directory (--out or out_dir)")
+        raise ConfigError("train needs an output directory (--out or out_dir)")
     if config.train.freeze_backbone and not config.init_checkpoint:
-        return _fail("--freeze-backbone requires --init-checkpoint "
-                     "(a frozen backbone must come from somewhere)")
-    try:
-        corpus = load_corpus(config.data_dir)
-        # echo the corpus the run reads, not the corpus keys' defaults
-        lo, hi = corpus.coverage_range
-        config = dataclasses.replace(
-            config, num_identities=corpus.num_identities,
-            samples_per_identity=corpus.samples_per_identity,
-            dataset_seed=corpus.dataset_seed, coverage_lo=lo, coverage_hi=hi)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load corpus from {config.data_dir}: {exc}")
+        raise ConfigError("--freeze-backbone requires --init-checkpoint "
+                          "(a frozen backbone must come from somewhere)")
+    corpus = load_corpus(config.data_dir)
+    # echo the corpus the run reads, not the corpus keys' defaults
+    lo, hi = corpus.coverage_range
+    config = dataclasses.replace(
+        config, num_identities=corpus.num_identities,
+        samples_per_identity=corpus.samples_per_identity,
+        dataset_seed=corpus.dataset_seed, coverage_lo=lo, coverage_hi=hi)
     model = None
     if config.init_checkpoint:
-        try:
-            model, _ = load_checkpoint(config.init_checkpoint)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot load checkpoint {config.init_checkpoint}: {exc}")
-    try:
-        # a diverging run overflows before the guard stops it; its one
-        # error line is the report, not numpy's warnings on the way there
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            state, log = fit(config.train, corpus, model=model)
-    except DivergenceError as exc:
-        return _fail(f"training diverged, no checkpoint written: {exc}")
+        model, _ = load_checkpoint(config.init_checkpoint)
+    # an unusable --out fails here, before the run, not after it
+    os.makedirs(config.out_dir, exist_ok=True)
+    # a diverging run overflows before the guard stops it; its one
+    # error line is the report, not numpy's warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        state, log = fit(config.train, corpus, model=model)
+    check_float32(state)
     trained = state.model
     # write the run before printing, so a closed stdout cannot lose it
-    os.makedirs(config.out_dir, exist_ok=True)
     write_config(config, config.out_dir)
     log_path = os.path.join(config.out_dir, "train.log")
     with open(log_path, "w", encoding="ascii") as f:
@@ -154,22 +143,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_eval_inputs(args: argparse.Namespace):
-    if not os.path.exists(args.checkpoint):
-        raise FileNotFoundError(f"checkpoint {args.checkpoint} does not exist")
-    model, _ = load_checkpoint(args.checkpoint)
-    try:
-        corpus = load_corpus(args.data)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot load corpus from {args.data}: {exc}") from None
-    return model, corpus
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        model, corpus = _load_eval_inputs(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    model, _ = load_checkpoint(args.checkpoint)
+    corpus = load_corpus(args.data)
     split = corpus.val if args.split == "val" else corpus.test
     metadata = {"protocol": args.mode, "split": args.split,
                 "checkpoint": args.checkpoint}
@@ -233,10 +209,8 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def cmd_roc_export(args: argparse.Namespace) -> int:
-    try:
-        model, corpus = _load_eval_inputs(args)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+    model, _ = load_checkpoint(args.checkpoint)
+    corpus = load_corpus(args.data)
     split = corpus.val if args.split == "val" else corpus.test
     from .metrics import roc_points
     points = roc_points(protocol_scores(model, split, args.mode))
@@ -311,13 +285,18 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except ConfigError as exc:
-        return _fail(str(exc))
     except BrokenPipeError:
         # the reader went away (`focusface train | head -1`); point stdout
         # at devnull so the interpreter's exit flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except DivergenceError as exc:
+        message = f"training diverged, no checkpoint written: {exc}"
+    except (OSError, ValueError) as exc:
+        # bad inputs raise these, naming what they reject; others are bugs
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -84,8 +84,8 @@ def _base_pattern(base_seed: int) -> np.ndarray:
     return canvas
 
 
-def _translate(img: np.ndarray, dr: int, dc: int, fill: float = 0.0) -> np.ndarray:
-    out = np.full_like(img, fill)
+def _translate(img: np.ndarray, dr: int, dc: int) -> np.ndarray:
+    out = np.zeros_like(img)
     h, w = img.shape
     src_r = slice(max(0, -dr), h - max(0, dr))
     dst_r = slice(max(0, dr), h + min(0, dr))
@@ -435,54 +435,57 @@ def _side_from_rows(rows, outdir):
 
 
 def load_corpus(outdir: str) -> Corpus:
-    manifest_path = os.path.join(outdir, MANIFEST_NAME)
-    with open(manifest_path, encoding="ascii") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != MANIFEST_MAGIC:
-        raise ValueError(f"{manifest_path} is not a recognized corpus manifest")
-    meta = {}
-    rows = []
-    for line in lines[1:]:
-        if line.startswith("# ") and " = " in line:
-            key, value = line[2:].split(" = ", 1)
-            if key == "coverage_range":
-                meta[key] = tuple(float(v) for v in value.split(","))
-            else:
-                meta[key] = int(value)
-        elif line and not line.startswith("#"):
-            path, ident, masked, split, role = line.split("\t")
-            rows.append((path, int(ident), masked == "1", split, role))
+    try:
+        manifest_path = os.path.join(outdir, MANIFEST_NAME)
+        with open(manifest_path, encoding="ascii") as f:
+            lines = f.read().splitlines()
+        if not lines or lines[0] != MANIFEST_MAGIC:
+            raise ValueError(f"{manifest_path} is not a recognized corpus manifest")
+        meta = {}
+        rows = []
+        for line in lines[1:]:
+            if line.startswith("# ") and " = " in line:
+                key, value = line[2:].split(" = ", 1)
+                if key == "coverage_range":
+                    meta[key] = tuple(float(v) for v in value.split(","))
+                else:
+                    meta[key] = int(value)
+            elif line and not line.startswith("#"):
+                path, ident, masked, split, role = line.split("\t")
+                rows.append((path, int(ident), masked == "1", split, role))
 
-    for key in ("dataset_seed", "samples_per_identity"):
-        if key not in meta:
-            raise ValueError(f"{manifest_path} has no '# {key} = ' header line")
-    samples = meta["samples_per_identity"]
-    train_rows = [r for r in rows if r[3] == "train"]
-    train_ids = sorted({r[1] for r in train_rows})
-    id_index = {ident: i for i, ident in enumerate(train_ids)}
-    unmasked = np.zeros((len(train_ids), samples, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-    masked_arr = np.zeros_like(unmasked)
-    for path, ident, is_masked, _, _ in train_rows:
-        index = int(path.rsplit(".", 1)[0][-4:])
-        if not 0 <= index < samples:
-            raise ValueError(f"{manifest_path}: train row {path} is sample {index}, "
-                             f"but samples_per_identity is {samples}")
-        target = masked_arr if is_masked else unmasked
-        target[id_index[ident], index] = _read_image(os.path.join(outdir, path))
+        for key in ("dataset_seed", "samples_per_identity"):
+            if key not in meta:
+                raise ValueError(f"{manifest_path} has no '# {key} = ' header line")
+        samples = meta["samples_per_identity"]
+        train_rows = [r for r in rows if r[3] == "train"]
+        train_ids = sorted({r[1] for r in train_rows})
+        id_index = {ident: i for i, ident in enumerate(train_ids)}
+        unmasked = np.zeros((len(train_ids), samples, IMAGE_HW, IMAGE_HW), dtype=np.float32)
+        masked_arr = np.zeros_like(unmasked)
+        for path, ident, is_masked, _, _ in train_rows:
+            index = int(path.rsplit(".", 1)[0][-4:])
+            if not 0 <= index < samples:
+                raise ValueError(f"{manifest_path}: train row {path} is sample {index}, "
+                                 f"but samples_per_identity is {samples}")
+            target = masked_arr if is_masked else unmasked
+            target[id_index[ident], index] = _read_image(os.path.join(outdir, path))
 
-    def eval_split(split_name):
-        side_rows = [r for r in rows if r[3] == split_name]
-        refs = [r for r in side_rows if r[4].startswith("ref")]
-        probes = [r for r in side_rows if r[4].startswith("probe")]
-        return EvalSplit(_side_from_rows(refs, outdir), _side_from_rows(probes, outdir))
+        def eval_split(split_name):
+            side_rows = [r for r in rows if r[3] == split_name]
+            refs = [r for r in side_rows if r[4].startswith("ref")]
+            probes = [r for r in side_rows if r[4].startswith("probe")]
+            return EvalSplit(_side_from_rows(refs, outdir), _side_from_rows(probes, outdir))
 
-    return Corpus(
-        dataset_seed=meta["dataset_seed"],
-        samples_per_identity=samples,
-        train_identity_ids=np.array(train_ids, dtype=np.int64),
-        train_unmasked=unmasked,
-        train_masked=masked_arr,
-        val=eval_split("val"),
-        test=eval_split("test"),
-        coverage_range=meta.get("coverage_range", COVERAGE_RANGE),
-    )
+        return Corpus(
+            dataset_seed=meta["dataset_seed"],
+            samples_per_identity=samples,
+            train_identity_ids=np.array(train_ids, dtype=np.int64),
+            train_unmasked=unmasked,
+            train_masked=masked_arr,
+            val=eval_split("val"),
+            test=eval_split("test"),
+            coverage_range=meta.get("coverage_range", COVERAGE_RANGE),
+        )
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load corpus from {outdir}: {exc}") from None

@@ -289,54 +289,64 @@ def save_checkpoint(model: ToyModel, path: str, seed: int = 0) -> None:
     os.replace(tmp, path)
 
 
+def count_entries(bad: np.ndarray, what: str = "inf or nan") -> str:
+    """The "N of M entries are ..." tail of every bad-parameter message."""
+    return f"{int(np.count_nonzero(bad))} of {bad.size} entries are {what}"
+
+
 def load_checkpoint(path: str) -> tuple[ToyModel, int]:
-    """Rebuild the model from a checkpoint; returns (model, recorded seed)."""
+    """Rebuild the model from a checkpoint; returns (model, recorded seed).
+
+    A malformed file of any kind raises a ValueError that names it.
+    """
     with open(path, "rb") as f:
         raw = f.read()
-    end = raw.find(b"end-header\n")
-    if not raw.startswith(CHECKPOINT_MAGIC.encode()) or end < 0:
-        raise ValueError(f"{path} is not a recognized checkpoint file")
-    header = raw[:end].decode("ascii").splitlines()[1:]
-    body = raw[end + len(b"end-header\n"):]
-
-    fields = {}
-    order = []
-    for line in header:
-        if line.startswith("param "):
-            _, name, *dims = line.split()
-            shape = () if dims == ["scalar"] else tuple(int(d) for d in dims)
-            order.append((name, shape))
-        elif " = " in line:
-            key, value = line.split(" = ", 1)
-            fields[key] = value
-    # seed and frozen have defaults; the architecture fields do not
-    required = ("input_hw", "in_channels", "stages", "recognition_dim",
-                "mask_dim", "num_classes")
-    missing = [key for key in required if key not in fields]
-    if missing:
-        raise ValueError(f"{path} header lacks field(s) {', '.join(missing)}")
-    config = ToyBackboneConfig(
-        input_hw=int(fields["input_hw"]),
-        in_channels=int(fields["in_channels"]),
-        stages=tuple(tuple(int(x) for x in part.split(":"))
-                     for part in fields["stages"].split(",")),
-        recognition_dim=int(fields["recognition_dim"]),
-        mask_dim=int(fields["mask_dim"]),
-        num_classes=int(fields["num_classes"]),
-    )
-    params = {}
-    offset = 0
-    for name, shape in order:
-        size = int(np.prod(shape)) if shape else 1
-        chunk = np.frombuffer(body, dtype="<f4", count=size, offset=offset)
-        params[name] = chunk.reshape(shape).astype(np.float64)
-        offset += size * 4
-    if offset != len(body):
-        raise ValueError(f"{path} has {len(body)} payload bytes, expected {offset}")
-    for name, value in params.items():
-        bad = int(np.count_nonzero(~np.isfinite(value)))
-        if bad:
-            raise ValueError(f"{path}: parameter {name}: {bad} of {value.size} "
-                             "entries are inf or nan")
-    model = ToyModel(config, params, frozen=fields.get("frozen", "none"))
-    return model, int(fields.get("seed", 0))
+    try:
+        end = raw.find(b"end-header\n")
+        if not raw.startswith(CHECKPOINT_MAGIC.encode()) or end < 0:
+            raise ValueError("not a recognized checkpoint file")
+        header = raw[:end].decode("ascii").splitlines()[1:]
+        body = raw[end + len(b"end-header\n"):]
+        fields = {}
+        order = []
+        for line in header:
+            if line.startswith("param "):
+                _, name, *dims = line.split()
+                shape = () if dims == ["scalar"] else tuple(int(d) for d in dims)
+                order.append((name, shape))
+            elif " = " in line:
+                key, value = line.split(" = ", 1)
+                fields[key] = value
+        # seed and frozen have defaults; the architecture fields do not
+        required = ("input_hw", "in_channels", "stages", "recognition_dim",
+                    "mask_dim", "num_classes")
+        missing = [key for key in required if key not in fields]
+        if missing:
+            raise ValueError(f"header lacks field(s) {', '.join(missing)}")
+        config = ToyBackboneConfig(
+            input_hw=int(fields["input_hw"]),
+            in_channels=int(fields["in_channels"]),
+            stages=tuple(tuple(int(x) for x in part.split(":"))
+                         for part in fields["stages"].split(",")),
+            recognition_dim=int(fields["recognition_dim"]),
+            mask_dim=int(fields["mask_dim"]),
+            num_classes=int(fields["num_classes"]),
+        )
+        if order != _param_layout(config):
+            raise ValueError("header param lines do not match its architecture fields")
+        expected = 4 * sum(math.prod(shape) for _, shape in order)
+        if len(body) != expected:
+            raise ValueError(f"holds {len(body)} payload bytes, expected {expected}")
+        params = {}
+        offset = 0
+        for name, shape in order:
+            size = math.prod(shape)
+            chunk = np.frombuffer(body, dtype="<f4", count=size, offset=offset)
+            params[name] = chunk.reshape(shape).astype(np.float64)
+            offset += size * 4
+            if not np.isfinite(chunk).all():
+                raise ValueError(f"parameter {name}: {count_entries(~np.isfinite(chunk))}")
+        model = ToyModel(config, params, frozen=fields.get("frozen", "none"))
+        return model, int(fields.get("seed", 0))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -27,7 +27,7 @@ from .losses import (
     cross_entropy,
 )
 from .metrics import compute_metrics, protocol_scores
-from .model import ToyBackboneConfig, ToyModel
+from .model import ToyBackboneConfig, ToyModel, count_entries
 
 LOG_FIELDS = ("iteration", "lr", "comb", "arc_u", "arc_m", "ce_u", "ce_m", "mse")
 EVAL_FIELDS = ("eer", "fmr100", "fmr10", "auc")
@@ -65,7 +65,7 @@ class TrainConfig:
 
 
 class DivergenceError(RuntimeError):
-    """A non-finite gradient reached the optimizer; the run cannot go on."""
+    """A non-finite gradient, or a parameter no float32 checkpoint can hold."""
 
 
 @dataclass
@@ -102,10 +102,8 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
         if g is None:
             g = np.zeros_like(p)
         elif not np.all(np.isfinite(g)):
-            raise DivergenceError(
-                f"non-finite gradient at iteration {iteration} for {name}: "
-                f"{int(np.count_nonzero(~np.isfinite(g)))} of {g.size} "
-                f"entries are inf or nan")
+            raise DivergenceError(f"non-finite gradient at iteration {iteration} "
+                                  f"for {name}: {count_entries(~np.isfinite(g))}")
         v *= momentum
         v += g + weight_decay * p
         p -= lr * v
@@ -216,6 +214,17 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
         state.best_iteration = config.max_iterations - 1
         state.best_params = {k: v.copy() for k, v in model.params.items()}
     return state, log
+
+
+def check_float32(state: TrainState) -> None:
+    """Raise DivergenceError unless the final and best parameters fit the
+    float32 of a checkpoint; comparing before any cast keeps numpy quiet."""
+    for label, params in (("final", state.model.params), ("best", state.best_params)):
+        for name, p in params.items():
+            bad = ~(np.abs(p) <= np.finfo(np.float32).max)
+            if bad.any():
+                raise DivergenceError(f"{label} parameter {name}: "
+                                      f"{count_entries(bad, 'outside float32 range')}")
 
 
 def best_model(state: TrainState) -> ToyModel:

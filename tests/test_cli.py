@@ -19,7 +19,12 @@ from focusface.config import (
 )
 from focusface.data import load_corpus
 from focusface.losses import LossConfig
-from focusface.model import load_checkpoint, save_checkpoint
+from focusface.model import (
+    ToyBackboneConfig,
+    ToyModel,
+    load_checkpoint,
+    save_checkpoint,
+)
 from focusface.training import TrainConfig
 
 
@@ -305,6 +310,25 @@ def test_train_divergence_is_one_line_error(corpus_dir, tmp_path, capsys, recwar
     assert not list(out.glob("*.ckpt"))
 
 
+def test_train_out_of_float32_range_is_one_line_error(corpus_dir, tmp_path,
+                                                      capsys, recwarn):
+    # the parameters leave float32 range at step 73 without a non-finite
+    # gradient, so only the check before saving stops the run
+    out = tmp_path / "overflow"
+    code = run_cli("train", "--data", corpus_dir, "--out", str(out),
+                   "--set", "lr=30", "--set", "max_iterations=80",
+                   "--set", "eval_interval=40")
+    assert code == 2
+    # the float32 cast never runs, so numpy has no overflow to warn about
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged, no checkpoint written: ")
+    assert err.count("\n") == 1
+    assert re.search(r"(final|best) parameter [\w.]+: [1-9]\d* of \d+ entries "
+                     r"are outside float32 range$", err)
+    assert not list(out.glob("*.ckpt"))
+
+
 def test_train_invalid_loop_value_is_one_line_error(corpus_dir, tmp_path, capsys):
     code = run_cli("train", "--data", corpus_dir, "--out", str(tmp_path / "o"),
                    "--set", "batch_size=0")
@@ -335,6 +359,62 @@ def test_closed_stdout_is_silent_and_keeps_the_run(corpus_dir, tmp_path,
     assert err == ""
     for name in ("config.txt", "train.log", "best.ckpt", "final.ckpt"):
         assert (out / name).exists(), name
+
+
+@pytest.fixture(scope="module")
+def one_train_identity_dir(tmp_path_factory):
+    # 4 identities split 1 train, 1 val, 2 test
+    out = str(tmp_path_factory.mktemp("tiny-corpus"))
+    assert run_cli("gen-data", "--out", out, "--set", "num_identities=4",
+                   "--set", "samples_per_identity=8") == 0
+    return out
+
+
+# each case: argv from the paths at hand, and a text the error line names
+BAD_INPUTS = {
+    "gen-data-one-identity": lambda p: (
+        ["gen-data", "--out", p["new"], "--set", "num_identities=1"], "identities"),
+    "gen-data-no-samples": lambda p: (
+        ["gen-data", "--out", p["new"], "--set", "samples_per_identity=0"],
+        "samples_per_identity"),
+    "gen-data-out-under-file": lambda p: (
+        ["gen-data", "--out", os.path.join(p["file"], "sub")], p["file"]),
+    "train-checkpoint-class-count": lambda p: (
+        ["train", "--data", p["corpus"], "--out", p["new"],
+         "--init-checkpoint", p["wide"], *FAST], "30 classes"),
+    "train-one-identity": lambda p: (
+        ["train", "--data", p["tiny"], "--out", p["new"], *FAST], "cross_entropy"),
+    "train-out-is-file": lambda p: (
+        ["train", "--data", p["corpus"], "--out", p["file"], *FAST], p["file"]),
+    "eval-out-is-file": lambda p: (
+        ["eval", "--checkpoint", p["ckpt"], "--data", p["corpus"], "--mode", "um",
+         "--out", p["file"]], p["file"]),
+    "eval-one-val-identity": lambda p: (
+        ["eval", "--checkpoint", p["ckpt"], "--data", p["tiny"], "--mode", "um",
+         "--split", "val"], "genuine and impostor"),
+    "roc-export-missing-dir": lambda p: (
+        ["roc-export", "--checkpoint", p["ckpt"], "--data", p["corpus"],
+         "--mode", "um", "--out", os.path.join(p["new"], "roc.csv")], p["new"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_line_error(corpus_dir, run_dir, one_train_identity_dir,
+                                     tmp_path, capsys, case):
+    file_path = tmp_path / "file"
+    file_path.write_text("")
+    wide = str(tmp_path / "wide.ckpt")
+    save_checkpoint(ToyModel.init(ToyBackboneConfig(num_classes=30)), wide)
+    paths = {"corpus": corpus_dir, "tiny": one_train_identity_dir,
+             "ckpt": os.path.join(run_dir, "best.ckpt"), "wide": wide,
+             "file": str(file_path), "new": str(tmp_path / "new")}
+    argv, named = BAD_INPUTS[case](paths)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert named in err
 
 
 # -- eval / roc-export -------------------------------------------------------

@@ -191,6 +191,20 @@ def test_checkpoint_missing_header_field_named(tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize("line,edited", [
+    (b"stages = 8:2,16:2,32:2", b"stages = 8:2,16"),
+    (b"param conv0.weight 8 1 3 3", b"param conv0.weight -8 1 3 3"),
+], ids=["stages", "negative-dimension"])
+def test_checkpoint_malformed_header_named(tmp_path, line, edited):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ToyModel.init(seed=9), str(path), seed=9)
+    raw = path.read_bytes()
+    assert line in raw
+    path.write_bytes(raw.replace(line, edited))
+    with pytest.raises(ValueError, match=r"m\.ckpt: "):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_checkpoint_non_finite_parameter_named(tmp_path, bad):
     model = ToyModel.init(seed=9)
