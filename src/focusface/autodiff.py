@@ -7,8 +7,8 @@ walk over the node list from back to front.  There is no graph compiler,
 no broadcasting cleverness beyond what the ops document, and no support
 for higher-order derivatives.
 
-Each node also records whether a trainable leaf feeds it.  ``backward``
-gives gradient buffers and runs backward rules only for those nodes, so
+Backward rules return their inputs' gradients and ``Tape.backward`` alone
+sums them.  Only nodes that a trainable leaf feeds run their rules, so
 inputs (images, a frozen backbone) cost nothing in the reverse pass.
 
 Float64 is the default dtype because central-difference gradient checking
@@ -41,6 +41,11 @@ class Tensor:
         self.node_id = node_id
 
     @property
+    def needs_grad(self) -> bool:
+        """Whether a trainable leaf feeds this tensor, so it takes a gradient."""
+        return self.tape.nodes[self.node_id].needs_grad
+
+    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -55,7 +60,7 @@ class _Node:
     """One recorded operation: which inputs fed it and how to push gradients back.
 
     ``needs_grad`` is true for a trainable leaf and for every node that one
-    feeds; only those nodes get a gradient buffer in ``Tape.backward``.
+    feeds; only those nodes take a gradient in ``Tape.backward``.
     """
 
     __slots__ = ("kind", "input_ids", "backward_fn", "needs_grad")
@@ -63,7 +68,7 @@ class _Node:
     def __init__(self, kind, input_ids, backward_fn, needs_grad):
         self.kind = kind
         self.input_ids = input_ids
-        self.backward_fn = backward_fn  # (grad_out, grads) -> None, accumulates in-place
+        self.backward_fn = backward_fn  # grad_out -> one gradient or None per input
         self.needs_grad = needs_grad
 
 
@@ -118,9 +123,9 @@ class Tape:
     sorted by construction.  ``backward`` walks it once in reverse.
     Tapes are single-threaded objects; build one per forward pass.
 
-    Backward rules receive ``grads``, one buffer per node, and add into the
-    buffers of their inputs.  The buffer of a node that needs no gradient
-    is ``None``; a rule with more than one input skips those inputs.
+    A backward rule maps ``g``, its node's output gradient, to a tuple with
+    one entry per input: a fresh array, ``g`` or a view of it, or ``None``
+    when that input's ``needs_grad`` is false.  Rules write into nothing.
     """
 
     def __init__(self, dtype=np.float64):
@@ -185,11 +190,9 @@ class Tape:
         a_shape, b_shape = a.shape, b.shape
         av, bv = a.data, b.data
 
-        def backward(g, grads):
-            if grads[a.node_id] is not None:
-                grads[a.node_id] += _unbroadcast(bwd_a(g, bv), a_shape)
-            if grads[b.node_id] is not None:
-                grads[b.node_id] += _unbroadcast(bwd_b(g, av), b_shape)
+        def backward(g):
+            return (_unbroadcast(bwd_a(g, bv), a_shape) if a.needs_grad else None,
+                    _unbroadcast(bwd_b(g, av), b_shape) if b.needs_grad else None)
 
         return self._out(kind, (a, b), backward, value)
 
@@ -198,8 +201,8 @@ class Tape:
         self._check(x)
         c = float(c)
 
-        def backward(g, grads):
-            grads[x.node_id] += c * g
+        def backward(g):
+            return (c * g,)
 
         return self._out("scale", (x,), backward, c * x.data)
 
@@ -212,11 +215,9 @@ class Tape:
             raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
         av, bv = a.data, b.data
 
-        def backward(g, grads):
-            if grads[a.node_id] is not None:
-                grads[a.node_id] += g @ bv.T
-            if grads[b.node_id] is not None:
-                grads[b.node_id] += av.T @ g
+        def backward(g):
+            return (g @ bv.T if a.needs_grad else None,
+                    av.T @ g if b.needs_grad else None)
 
         return self._out("matmul", (a, b), backward, av @ bv)
 
@@ -227,11 +228,9 @@ class Tape:
             raise ShapeError(f"dot: need equal 1-d shapes, got {a.shape} and {b.shape}")
         av, bv = a.data, b.data
 
-        def backward(g, grads):
-            if grads[a.node_id] is not None:
-                grads[a.node_id] += g * bv
-            if grads[b.node_id] is not None:
-                grads[b.node_id] += g * av
+        def backward(g):
+            return (g * bv if a.needs_grad else None,
+                    g * av if b.needs_grad else None)
 
         return self._out("dot", (a, b), backward, av @ bv)
 
@@ -240,8 +239,8 @@ class Tape:
         self._check(x)
         shape = x.shape
 
-        def backward(g, grads):
-            grads[x.node_id] += np.broadcast_to(g, shape)
+        def backward(g):
+            return (np.broadcast_to(g, shape),)
 
         return self._out("sum", (x,), backward, x.data.sum())
 
@@ -253,8 +252,8 @@ class Tape:
         shape = x.shape
         n = shape[0]
 
-        def backward(g, grads):
-            grads[x.node_id] += g.reshape(shape)
+        def backward(g):
+            return (g.reshape(shape),)
 
         return self._out("flatten", (x,), backward, x.data.reshape(n, -1))
 
@@ -272,14 +271,12 @@ class Tape:
         xv = x.data
         a = float(slope.data.reshape(()))
 
-        def backward(g, grads):
-            if grads[x.node_id] is not None:
-                grads[x.node_id] += g * _prelu_factor(xv, a)
-            if grads[slope.node_id] is not None:
-                # minimum(x, 0) may turn a -0.0 input into +0.0; np.sum starts
-                # from +0.0, so the sign of a zero term never shows in the total
-                grads[slope.node_id] += np.sum(g * np.minimum(xv, 0.0)).reshape(
-                    slope.data.shape)
+        def backward(g):
+            # minimum(x, 0) may turn a -0.0 input into +0.0; np.sum starts
+            # from +0.0, so the sign of a zero term never shows in the total
+            return (g * _prelu_factor(xv, a) if x.needs_grad else None,
+                    np.sum(g * np.minimum(xv, 0.0)).reshape(slope.data.shape)
+                    if slope.needs_grad else None)
 
         return self._out("prelu", (x, slope), backward, xv * _prelu_factor(xv, a))
 
@@ -291,9 +288,9 @@ class Tape:
             raise ValueError(f"l2_normalize: vector norm below {eps}")
         y = x.data / norm
 
-        def backward(g, grads):
+        def backward(g):
             inner = np.sum(g * y, axis=axis, keepdims=True)
-            grads[x.node_id] += (g - y * inner) / norm
+            return ((g - y * inner) / norm,)
 
         return self._out("l2_normalize", (x,), backward, y)
 
@@ -308,7 +305,7 @@ class Tape:
         is skipped when the input needs no gradient.  The padded input and
         the column matrix are rebuilt in the backward rule rather than kept
         on the tape.  The output is an NCHW view of a (C, H, W, N) array, so
-        the gradient buffer that mirrors it reshapes to (O, Ho*Wo*N) for free.
+        an output gradient laid out like it reshapes to (O, Ho*Wo*N) for free.
         """
         self._check(x), self._check(weight)
         if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -329,21 +326,19 @@ class Tape:
         wo = (w + 2 * padding - kw) // stride + 1
         value = (w2 @ _im2col(xv, kh, kw, stride, padding)).reshape(co, ho, wo, n)
 
-        def backward(g, grads):
+        def backward(g):
             g2 = g.transpose(1, 2, 3, 0).reshape(co, -1)
-            if grads[weight.node_id] is not None:
-                cols = _im2col(xv, kh, kw, stride, padding)
-                grads[weight.node_id] += (g2 @ cols.T).reshape(co, ci, kh, kw)
-            if grads[x.node_id] is not None:
-                # scatter W^T g onto the padded input, then crop the padding
-                contrib = (w2.T @ g2).reshape(c, kh, kw, ho, wo, n)
-                gx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=xv.dtype)
-                for i in range(kh):
-                    for j in range(kw):
-                        gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += \
-                            contrib[:, i, j]
-                grads[x.node_id] += gx[:, padding:padding + h,
-                                       padding:padding + w].transpose(3, 0, 1, 2)
+            gw = ((g2 @ _im2col(xv, kh, kw, stride, padding).T).reshape(co, ci, kh, kw)
+                  if weight.needs_grad else None)
+            if not x.needs_grad:
+                return None, gw
+            # scatter W^T g onto the padded input, then crop the padding
+            contrib = (w2.T @ g2).reshape(c, kh, kw, ho, wo, n)
+            gx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=xv.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += contrib[:, i, j]
+            return gx[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2), gw
 
         return self._out("conv2d", (x, weight), backward, value.transpose(3, 0, 1, 2))
 
@@ -356,9 +351,8 @@ class Tape:
         Used by the loss suite for numerically fused constructions
         (log-sum-exp cross-entropy, the angular-margin transform) whose
         gradients are hand-derived rather than composed from primitives.
-        ``backward_fn(g, grads)`` runs only when a trainable leaf feeds the
-        node; with more than one input it must skip an input whose buffer
-        ``grads[t.node_id]`` is ``None``.
+        ``backward_fn(g)`` returns one gradient per input, as the class
+        docstring says, and runs only when a trainable leaf feeds the node.
         """
         for t in inputs:
             self._check(t)
@@ -369,27 +363,33 @@ class Tape:
     def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
         """Gradient of a scalar loss w.r.t. every trainable leaf.
 
-        Visits each node exactly once in reverse recording order, so the
-        result is deterministic and bit-identical across repeated runs.
-        Nodes that no trainable leaf feeds (image leaves, everything below
-        a frozen backbone) get no gradient buffer and their backward rules
-        never run; the gradients returned are the same as with every rule
-        run, since nothing flows from those nodes to a parameter.
+        Walks the nodes once in reverse recording order.  A node's first
+        contribution is its gradient and later ones are added out of place,
+        so the result is deterministic and bit-identical across repeated
+        runs.  Only a node that needs a gradient and received one runs its
+        rule.  Each trainable leaf gets an array of its own, zeros if no
+        gradient reached it.
         """
         self._check(loss)
         if loss.data.size != 1:
             raise ValueError(
                 f"backward: loss must be scalar, got shape {loss.shape}")
-        grads: list[np.ndarray | None] = [
-            np.zeros_like(value) if node.needs_grad else None
-            for node, value in zip(self.nodes, self._values)
-        ]
+        grads: list = [None] * len(self.nodes)
         grads[loss.node_id] = np.ones_like(self._values[loss.node_id])
         for node_id in range(loss.node_id, -1, -1):
-            node = self.nodes[node_id]
-            if node.needs_grad and node.backward_fn is not None:
-                node.backward_fn(grads[node_id], grads)
-        return {pid: grads[pid] for pid in self.parameters}
+            node, g = self.nodes[node_id], grads[node_id]
+            if g is None or not node.needs_grad or node.backward_fn is None:
+                continue
+            for i, c in zip(node.input_ids, node.backward_fn(g)):
+                if c is None:
+                    continue
+                if grads[i] is not None:
+                    c = grads[i] + c
+                elif self.nodes[i].kind == "leaf" and np.may_share_memory(c, g):
+                    c = c.copy()  # a leaf's gradient is the caller's to keep
+                grads[i] = c
+        return {pid: np.zeros_like(self._values[pid]) if grads[pid] is None
+                else np.asarray(grads[pid]) for pid in self.parameters}
 
 
 def grad_check(build_fn, inputs: list[np.ndarray], h: float = 1e-5) -> float:

@@ -80,11 +80,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
                           coverage_range=(config.coverage_lo, config.coverage_hi))
     manifest = save_corpus(corpus, config.out_dir)
     write_config(config, config.out_dir)
-    counts = (corpus.num_classes,
-              len(set(corpus.val.references.identity_ids.tolist())),
-              len(set(corpus.test.references.identity_ids.tolist())))
     print(f"wrote {manifest}")
-    print(f"identities: {counts[0]} train, {counts[1]} val, {counts[2]} test")
+    print(f"identities: {corpus.num_classes} train, {corpus.val.num_identities} val, "
+          f"{corpus.test.num_identities} test")
     return 0
 
 
@@ -143,10 +141,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    model, _ = load_checkpoint(args.checkpoint)
+def _eval_split(args: argparse.Namespace):
+    """The split ``--split`` names; um and mm scoring need two identities in it."""
     corpus = load_corpus(args.data)
     split = corpus.val if args.split == "val" else corpus.test
+    if args.mode != "mask-roc" and split.num_identities < 2:
+        raise ValueError(f"{args.mode} verification needs at least 2 identities, the "
+                         f"{args.split} split has {split.num_identities}")
+    return split
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    model, _ = load_checkpoint(args.checkpoint)
+    split = _eval_split(args)
     metadata = {"protocol": args.mode, "split": args.split,
                 "checkpoint": args.checkpoint}
     if args.out:
@@ -210,8 +217,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_roc_export(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    corpus = load_corpus(args.data)
-    split = corpus.val if args.split == "val" else corpus.test
+    split = _eval_split(args)
     from .metrics import roc_points
     points = roc_points(protocol_scores(model, split, args.mode))
     write_roc_csv(points, args.out)

@@ -212,6 +212,10 @@ class EvalSplit:
     references: EvalSide
     probes: EvalSide
 
+    @property
+    def num_identities(self) -> int:
+        return len(set(self.references.identity_ids.tolist()))
+
 
 @dataclass
 class Corpus:

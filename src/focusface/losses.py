@@ -82,12 +82,11 @@ def cross_entropy(tape: Tape, logits: Tensor, targets) -> Tensor:
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     value = np.mean(lse[:, 0] - z[np.arange(batch), t])
-    softmax = np.exp(z - lse)
+    dz = np.exp(z - lse)  # softmax minus the one-hot targets
+    dz[np.arange(batch), t] -= 1.0
 
-    def backward(g, grads):
-        dz = softmax.copy()
-        dz[np.arange(batch), t] -= 1.0
-        grads[logits.node_id] += g * dz / batch
+    def backward(g):
+        return (g * dz / batch,)
 
     return tape.custom("cross_entropy", (logits,), value, backward)
 
@@ -123,10 +122,10 @@ def arcface_margin(tape: Tape, cosines: Tensor, targets, s: float,
     dmargin = np.where(fallback, 1.0, cos_m + sin_m * cc / sin_theta)
     dmargin = np.where(clamped, 0.0, dmargin)
 
-    def backward(g, grads):
-        dc = s * g.copy()
+    def backward(g):
+        dc = s * g
         dc[rows, t] = s * g[rows, t] * dmargin
-        grads[cosines.node_id] += dc
+        return (dc,)
 
     return tape.custom("arcface_margin", (cosines,), value, backward)
 

@@ -294,6 +294,18 @@ def count_entries(bad: np.ndarray, what: str = "inf or nan") -> str:
     return f"{int(np.count_nonzero(bad))} of {bad.size} entries are {what}"
 
 
+def _parse_stages(text: str) -> tuple:
+    """The header's ``stages`` field, ``8:2,16:2,...``, as (channels, stride) pairs."""
+    stages = []
+    for part in text.split(","):
+        pair = part.split(":")
+        if len(pair) != 2 or not all(x.isdigit() and int(x) > 0 for x in pair):
+            raise ValueError(f"stages field: {part!r} is not a channels:stride pair "
+                             "of positive integers")
+        stages.append((int(pair[0]), int(pair[1])))
+    return tuple(stages)
+
+
 def load_checkpoint(path: str) -> tuple[ToyModel, int]:
     """Rebuild the model from a checkpoint; returns (model, recorded seed).
 
@@ -326,8 +338,7 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
         config = ToyBackboneConfig(
             input_hw=int(fields["input_hw"]),
             in_channels=int(fields["in_channels"]),
-            stages=tuple(tuple(int(x) for x in part.split(":"))
-                         for part in fields["stages"].split(",")),
+            stages=_parse_stages(fields["stages"]),
             recognition_dim=int(fields["recognition_dim"]),
             mask_dim=int(fields["mask_dim"]),
             num_classes=int(fields["num_classes"]),

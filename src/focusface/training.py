@@ -174,10 +174,6 @@ def _format_eval(iteration: int, report) -> str:
     return "\t".join(values)
 
 
-def _can_eval(corpus: Corpus) -> bool:
-    return len(set(corpus.val.references.identity_ids.tolist())) >= 2
-
-
 def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     """Run the configured budget; returns (state, log lines).
 
@@ -185,6 +181,9 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     parameter snapshot minimizes the unmasked-reference/masked-probe FMR100
     (earliest iteration wins ties).
     """
+    if corpus.num_classes < 2:
+        raise ValueError(f"training needs at least 2 training identities, the corpus "
+                         f"has {corpus.num_classes}")
     if model is None:
         model = ToyModel.init(
             ToyBackboneConfig(num_classes=corpus.num_classes), seed=config.seed)
@@ -196,7 +195,7 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     model.freeze("backbone" if config.freeze_backbone else "none")
     state = init_state(model)
     log = []
-    evaluable = _can_eval(corpus)
+    evaluable = corpus.val.num_identities >= 2
     for it in range(config.max_iterations):
         batch = train_batch(corpus, it, config.batch_size,
                             selection=config.selection_mode, seed=config.seed)

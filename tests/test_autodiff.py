@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from focusface.autodiff import ShapeError, Tape, grad_check
+from focusface.training import sgd_step
 
 
 def test_add_elementwise():
@@ -166,19 +167,56 @@ def test_prelu_matches_where_formula_bit_for_bit():
         xt = tape.leaf(x, trainable=True)
         st = tape.leaf(a, trainable=True)
         out = tape.prelu(xt, st)
-        # buffers start at -0.0, the identity of +=, so each holds the
-        # rule's contribution exactly, sign of zero included
-        grads = [None] * len(tape.nodes)
-        grads[xt.node_id] = np.full(x.shape, -0.0)
-        grads[st.node_id] = np.full((), -0.0)
-        tape.nodes[out.node_id].backward_fn(g, grads)
+        # the rule's returned pair is its contribution exactly, sign of zero included
+        grad_x, grad_slope = tape.nodes[out.node_id].backward_fn(g)
 
         pos = x > 0
         assert out.data.tobytes() == np.where(pos, x, a * x).tobytes()
         ref_x = g * np.where(pos, 1.0, a)
         ref_slope = np.sum(g * np.where(pos, 0.0, x))
-        assert grads[xt.node_id].tobytes() == ref_x.tobytes()
-        assert grads[st.node_id].tobytes() == ref_slope.tobytes()
+        assert grad_x.tobytes() == ref_x.tobytes()
+        assert grad_slope.tobytes() == ref_slope.tobytes()
+
+
+def test_backward_sums_returned_gradients_and_owns_leaf_results():
+    # add(w, w): both of the rule's entries reach one leaf and are summed
+    tape = Tape()
+    w = tape.leaf([1.0, -2.0, 3.0], trainable=True)
+    s = tape.leaf([0.5, 1.5, -1.0])
+    grads = tape.backward(tape.dot(tape.add(w, w), s))
+    assert grads[w.node_id].tobytes() == (2 * s.data).tobytes()
+
+    # add and sum pass g or a read-only view of it back; each trainable leaf
+    # still gets a writable array that shares memory with no other result
+    tape = Tape()
+    w = tape.leaf(np.ones(3), trainable=True)
+    v = tape.leaf(np.ones(3), trainable=True)
+    u = tape.leaf(np.ones((2, 2)), trainable=True)
+    unreached = tape.leaf(np.ones((2, 3)), trainable=True)
+    tape.scale(unreached, 2.0)  # recorded, but no path leads to the loss
+    grads = tape.backward(tape.add(tape.sum(tape.add(w, v)), tape.sum(u)))
+    returned = list(grads.values())
+    for k, g in enumerate(returned):
+        assert isinstance(g, np.ndarray) and g.flags.writeable
+        assert not any(np.may_share_memory(g, other) for other in returned[k + 1:])
+    for leaf in (w, v, u):
+        np.testing.assert_array_equal(grads[leaf.node_id], np.ones(leaf.shape))
+    assert grads[unreached.node_id].tobytes() == np.zeros((2, 3)).tobytes()
+
+    # a first contribution is no longer added to a +0.0 buffer, so a
+    # gradient entry may be -0.0; sgd_step's velocities start at +0.0 and
+    # +0.0 + -0.0 is +0.0, so the parameters come out bit for bit the same
+    p0 = np.array([0.0, -0.0, 1.5, -2.0, 0.0, -0.0])
+    v0 = np.array([0.0, 0.0, 0.0, 0.0, 0.3, -0.3])
+    for weight_decay in (0.0, 5e-4):
+        results = []
+        for zero in (0.0, -0.0):
+            params, velocities = {"w": p0.copy()}, {"w": v0.copy()}
+            for _ in range(2):
+                sgd_step(params, {"w": np.full(6, zero)}, velocities,
+                         lr=0.1, momentum=0.9, weight_decay=weight_decay)
+            results.append((params["w"].tobytes(), velocities["w"].tobytes()))
+        assert results[0] == results[1]
 
 
 def test_conv2d_channel_mismatch():

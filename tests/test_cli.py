@@ -383,7 +383,8 @@ BAD_INPUTS = {
         ["train", "--data", p["corpus"], "--out", p["new"],
          "--init-checkpoint", p["wide"], *FAST], "30 classes"),
     "train-one-identity": lambda p: (
-        ["train", "--data", p["tiny"], "--out", p["new"], *FAST], "cross_entropy"),
+        ["train", "--data", p["tiny"], "--out", p["new"], *FAST],
+        "needs at least 2 training identities, the corpus has 1"),
     "train-out-is-file": lambda p: (
         ["train", "--data", p["corpus"], "--out", p["file"], *FAST], p["file"]),
     "eval-out-is-file": lambda p: (
@@ -391,7 +392,7 @@ BAD_INPUTS = {
          "--out", p["file"]], p["file"]),
     "eval-one-val-identity": lambda p: (
         ["eval", "--checkpoint", p["ckpt"], "--data", p["tiny"], "--mode", "um",
-         "--split", "val"], "genuine and impostor"),
+         "--split", "val"], "um verification needs at least 2 identities, the val split has 1"),
     "roc-export-missing-dir": lambda p: (
         ["roc-export", "--checkpoint", p["ckpt"], "--data", p["corpus"],
          "--mode", "um", "--out", os.path.join(p["new"], "roc.csv")], p["new"]),

@@ -1,5 +1,7 @@
 """Forward-pass behavior, freezing, parameter accounting, checkpoint io."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -191,17 +193,18 @@ def test_checkpoint_missing_header_field_named(tmp_path):
         load_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("line,edited", [
-    (b"stages = 8:2,16:2,32:2", b"stages = 8:2,16"),
-    (b"param conv0.weight 8 1 3 3", b"param conv0.weight -8 1 3 3"),
-], ids=["stages", "negative-dimension"])
-def test_checkpoint_malformed_header_named(tmp_path, line, edited):
+@pytest.mark.parametrize("line,edited,named", [
+    (b"stages = 8:2,16:2,32:2", b"stages = 8:2,16", "stages field: '16' is not a channels:stride"),
+    (b"stages = 8:2,16:2,32:2", b"stages = 8:0,16:2,32:2", "stages field: '8:0' is not"),
+    (b"param conv0.weight 8 1 3 3", b"param conv0.weight -8 1 3 3", ""),
+], ids=["stages", "zero-stride", "negative-dimension"])
+def test_checkpoint_malformed_header_named(tmp_path, line, edited, named):
     path = tmp_path / "m.ckpt"
     save_checkpoint(ToyModel.init(seed=9), str(path), seed=9)
     raw = path.read_bytes()
     assert line in raw
     path.write_bytes(raw.replace(line, edited))
-    with pytest.raises(ValueError, match=r"m\.ckpt: "):
+    with pytest.raises(ValueError, match=r"m\.ckpt: " + re.escape(named)):
         load_checkpoint(str(path))
 
 
