@@ -11,9 +11,13 @@ Backward rules return their inputs' gradients and ``Tape.backward`` alone
 sums them.  Only nodes that a trainable leaf feeds run their rules, so
 inputs (images, a frozen backbone) cost nothing in the reverse pass.
 
-Float64 is the default dtype because central-difference gradient checking
-is unreliable in float32.  A tape takes any float dtype, but training,
-inference and gradient checking all build float64 tapes.
+One dtype policy holds across the package.  Training and inference build
+float32 tapes, because the conv GEMMs and im2col copies that dominate a
+training step run faster in float32.  Gradient checks build float64
+tapes, the default here, because central differences are unreliable in
+float32.  Model parameters are float64 masters that each tape casts as it
+records them, and checkpoints store them as float32.  Every op keeps its
+tape's dtype in both passes, so a float32 tape returns float32 gradients.
 """
 
 from __future__ import annotations
@@ -110,10 +114,10 @@ def _prelu_factor(x: np.ndarray, a: float) -> np.ndarray:
 
     Equal to ``np.where(x > 0, 1.0, a)`` for any finite ``a``, but built from
     plain arithmetic, which numpy runs several times faster than ``where``
-    on these arrays.
+    on these arrays.  ``a`` is cast to ``x``'s dtype, so the factor keeps it.
     """
     pos = x > 0
-    return ~pos * a + pos
+    return ~pos * x.dtype.type(a) + pos
 
 
 class Tape:
@@ -137,7 +141,7 @@ class Tape:
     # ------------------------------------------------------------------ leaves
 
     def leaf(self, data, trainable: bool = False) -> Tensor:
-        """Record an input tensor.  Trainable leaves receive gradients."""
+        """Record ``data``, copied into the tape's dtype.  Trainable leaves get gradients."""
         # np.array keeps 0-d scalars 0-d (ascontiguousarray would promote them)
         arr = np.array(data, dtype=self.dtype, order="C", copy=True)
         node_id = self._record("leaf", (), None, arr)

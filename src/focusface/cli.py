@@ -43,7 +43,7 @@ from .metrics import (
     write_roc_csv,
 )
 from .model import load_checkpoint, save_checkpoint, toy_scale_modules
-from .training import DivergenceError, best_model, check_float32, fit
+from .training import DivergenceError, best_model, check_fit_inputs, fit
 
 EVAL_MODES = ("um", "mm", "mask-roc")
 
@@ -115,13 +115,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = None
     if config.init_checkpoint:
         model, _ = load_checkpoint(config.init_checkpoint)
-    # an unusable --out fails here, before the run, not after it
+    # inputs fit would reject, and an unusable --out, fail before --out exists
+    check_fit_inputs(corpus, model)
     os.makedirs(config.out_dir, exist_ok=True)
     # a diverging run overflows before the guard stops it; its one
     # error line is the report, not numpy's warnings on the way there
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state, log = fit(config.train, corpus, model=model)
-    check_float32(state)
     trained = state.model
     # write the run before printing, so a closed stdout cannot lose it
     write_config(config, config.out_dir)

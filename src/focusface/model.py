@@ -140,7 +140,12 @@ def _init_param(name: str, shape, rng) -> np.ndarray:
 
 
 class ToyModel:
-    """Trainable toy network; parameters are float64 numpy arrays by name."""
+    """Trainable toy network; parameters are float64 numpy arrays by name.
+
+    The float64 arrays are master weights: training and inference run on
+    float32 tapes that cast them as leaves, SGD updates them in float64, and
+    checkpoints store them as float32 (see the ``autodiff`` module docstring).
+    """
 
     def __init__(self, config: ToyBackboneConfig, params: dict, frozen: str = "none"):
         self.config = config
@@ -236,7 +241,9 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
     """Recognition embeddings and masked-class probabilities for a stack of images.
 
     Chunks are independent forward passes over read-only parameters, so any
-    thread count produces identical results written by chunk index.
+    thread count produces identical results written by chunk index.  The
+    forward runs on a float32 tape; both outputs are float64, computed from
+    its float32 activations.
     """
     images = np.asarray(images)
     n = images.shape[0]
@@ -245,11 +252,13 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
 
     def run_chunk(start):
         stop = min(start + batch_size, n)
-        out = model.forward(Tape(), images[start:stop])
-        emb = out.recognition_embedding.data
-        emb = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        embeddings[start:stop] = emb
-        mask_probs[start:stop] = _softmax_rows(out.mask_logits.data)[:, 1]
+        out = model.forward(Tape(np.float32), images[start:stop])
+        # cast before dividing, so the rows are unit vectors to float64 precision
+        emb = out.recognition_embedding.data.astype(np.float64)
+        embeddings[start:stop] = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+        # a float32 softmax saturates to 1 at a logit gap of about 17
+        logits = out.mask_logits.data.astype(np.float64)
+        mask_probs[start:stop] = _softmax_rows(logits)[:, 1]
 
     starts = range(0, n, batch_size)
     if threads > 1:

@@ -95,6 +95,9 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
 
     Updates exactly the parameters that own a momentum buffer; a missing
     gradient is a zero gradient (the parameter still sees weight decay).
+    Raises DivergenceError on a non-finite gradient, and on an update that
+    takes a parameter outside float32 range, where the next float32 tape
+    and any checkpoint would turn it into inf.
     """
     for name, v in velocities.items():
         p = params[name]
@@ -107,6 +110,10 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
         v *= momentum
         v += g + weight_decay * p
         p -= lr * v
+        bad = ~(np.abs(p) <= np.finfo(np.float32).max)
+        if bad.any():
+            raise DivergenceError(f"parameter {name} at iteration {iteration}: "
+                                  f"{count_entries(bad, 'outside float32 range')}")
 
 
 def _forward_both(model: ToyModel, tape: Tape, batch: PairBatch):
@@ -147,8 +154,11 @@ def build_losses(model: ToyModel, tape: Tape, batch: PairBatch,
 
 def train_iteration(state: TrainState, batch: PairBatch,
                     config: TrainConfig) -> dict:
-    """One dual forward, one backward, one SGD step; returns the breakdown."""
-    tape = Tape()
+    """One dual forward and backward on a float32 tape, one float64 SGD step.
+
+    Returns the loss breakdown.
+    """
+    tape = Tape(np.float32)
     comb, components, leaves = build_losses(state.model, tape, batch, config.loss,
                                             baseline=config.baseline)
     grads = tape.backward(comb)
@@ -174,6 +184,17 @@ def _format_eval(iteration: int, report) -> str:
     return "\t".join(values)
 
 
+def check_fit_inputs(corpus: Corpus, model: ToyModel | None = None) -> None:
+    """Raise ValueError unless ``fit`` can train ``model``, or a fresh one, on ``corpus``."""
+    if corpus.num_classes < 2:
+        raise ValueError(f"training needs at least 2 training identities, the corpus "
+                         f"has {corpus.num_classes}")
+    if model is not None and corpus.num_classes != model.config.num_classes:
+        raise ValueError(
+            f"model expects {model.config.num_classes} classes, corpus has "
+            f"{corpus.num_classes} training identities")
+
+
 def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     """Run the configured budget; returns (state, log lines).
 
@@ -181,16 +202,10 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     parameter snapshot minimizes the unmasked-reference/masked-probe FMR100
     (earliest iteration wins ties).
     """
-    if corpus.num_classes < 2:
-        raise ValueError(f"training needs at least 2 training identities, the corpus "
-                         f"has {corpus.num_classes}")
+    check_fit_inputs(corpus, model)
     if model is None:
         model = ToyModel.init(
             ToyBackboneConfig(num_classes=corpus.num_classes), seed=config.seed)
-    if corpus.num_classes != model.config.num_classes:
-        raise ValueError(
-            f"model expects {model.config.num_classes} classes, corpus has "
-            f"{corpus.num_classes} training identities")
     # both ways: a checkpoint restores the mode it was trained in
     model.freeze("backbone" if config.freeze_backbone else "none")
     state = init_state(model)
@@ -213,17 +228,6 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
         state.best_iteration = config.max_iterations - 1
         state.best_params = {k: v.copy() for k, v in model.params.items()}
     return state, log
-
-
-def check_float32(state: TrainState) -> None:
-    """Raise DivergenceError unless the final and best parameters fit the
-    float32 of a checkpoint; comparing before any cast keeps numpy quiet."""
-    for label, params in (("final", state.model.params), ("best", state.best_params)):
-        for name, p in params.items():
-            bad = ~(np.abs(p) <= np.finfo(np.float32).max)
-            if bad.any():
-                raise DivergenceError(f"{label} parameter {name}: "
-                                      f"{count_entries(bad, 'outside float32 range')}")
 
 
 def best_model(state: TrainState) -> ToyModel:

@@ -312,20 +312,21 @@ def test_train_divergence_is_one_line_error(corpus_dir, tmp_path, capsys, recwar
 
 def test_train_out_of_float32_range_is_one_line_error(corpus_dir, tmp_path,
                                                       capsys, recwarn):
-    # the parameters leave float32 range at step 73 without a non-finite
-    # gradient, so only the check before saving stops the run
+    # the first update takes conv0.bias past float32 range with every
+    # gradient finite, so only the parameter check in sgd_step stops the run
     out = tmp_path / "overflow"
     code = run_cli("train", "--data", corpus_dir, "--out", str(out),
-                   "--set", "lr=30", "--set", "max_iterations=80",
-                   "--set", "eval_interval=40")
+                   "--set", "lr=1e40", "--set", "max_iterations=1",
+                   "--set", "eval_interval=1")
     assert code == 2
-    # the float32 cast never runs, so numpy has no overflow to warn about
+    # the run stops before a float32 tape would overflow, so numpy has
+    # nothing to warn about
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged, no checkpoint written: ")
     assert err.count("\n") == 1
-    assert re.search(r"(final|best) parameter [\w.]+: [1-9]\d* of \d+ entries "
-                     r"are outside float32 range$", err)
+    assert err.endswith(": parameter conv0.bias at iteration 0: 6 of 8 entries "
+                        "are outside float32 range\n")
     assert not list(out.glob("*.ckpt"))
 
 
@@ -416,6 +417,8 @@ def test_bad_input_is_one_line_error(corpus_dir, run_dir, one_train_identity_dir
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert named in err
+    # a rejected command leaves no output directory behind
+    assert not os.path.exists(paths["new"])
 
 
 # -- eval / roc-export -------------------------------------------------------

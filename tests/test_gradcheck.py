@@ -37,6 +37,15 @@ def test_gradients_match_central_differences(name):
         f"{result.points} points exceeds {result.tolerance:.0e}")
 
 
+@pytest.mark.parametrize("name", sorted(ALL_CHECKS))
+def test_float32_tape_keeps_float32_gradients(name):
+    build_fn, inputs = ALL_CHECKS[name](np.random.default_rng(0))
+    tape = Tape(np.float32)
+    leaves = [tape.leaf(x, trainable=True) for x in inputs]
+    grads = tape.backward(build_fn(tape, *leaves))
+    assert [grads[lf.node_id].dtype for lf in leaves] == [np.float32] * len(leaves)
+
+
 def test_run_all_covers_everything():
     results = run_all(seed=1, points=2)
     assert {r.name for r in results} == set(ALL_CHECKS)

@@ -168,9 +168,13 @@ def test_breakdown_recombines_to_combined_value(corpus):
     state = init_state(model)
     b = train_iteration(state, batch, config)
     lc = config.loss
-    rebuilt = lc.alpha * b["mse"] + lc.beta * (
-        (b["arc_m"] + lc.lambda_ * b["ce_m"]) + (b["arc_u"] + lc.lambda_ * b["ce_u"]))
-    assert b["comb"] == pytest.approx(rebuilt, abs=1e-12 * max(1.0, abs(b["comb"])))
+    # float32 arithmetic in the tape's order: each branch, their scaled sum,
+    # then the scaled contrastive term added to it
+    f = np.float32
+    l_m = f(b["arc_m"]) + f(lc.lambda_) * f(b["ce_m"])
+    l_u = f(b["arc_u"]) + f(lc.lambda_) * f(b["ce_u"])
+    rebuilt = f(lc.alpha) * f(b["mse"]) + f(lc.beta) * (l_m + l_u)
+    assert b["comb"] == rebuilt
     assert state.iteration == 1
 
 
