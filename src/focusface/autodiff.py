@@ -11,6 +11,12 @@ Backward rules return their inputs' gradients and ``Tape.backward`` alone
 sums them.  Only nodes that a trainable leaf feeds run their rules, so
 inputs (images, a frozen backbone) cost nothing in the reverse pass.
 
+One policy holds for arrays a rule keeps.  A rule may keep an array its
+forward built (the conv2d column matrix, the prelu factor) only when the
+node that array serves needs a gradient, and it drops the array once it
+has run.  So a tape's backward runs once, and a tape that takes no
+gradient, as at inference, keeps nothing beyond its values.
+
 One dtype policy holds across the package.  Training and inference build
 float32 tapes, because the conv GEMMs and im2col copies that dominate a
 training step run faster in float32.  Gradient checks build float64
@@ -130,13 +136,15 @@ class Tape:
     A backward rule maps ``g``, its node's output gradient, to a tuple with
     one entry per input: a fresh array, ``g`` or a view of it, or ``None``
     when that input's ``needs_grad`` is false.  Rules write into nothing.
+    A rule keeps a forward array only for an input that needs a gradient
+    and drops it after it runs, so ``backward`` runs once per tape.
     """
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self.nodes: list[_Node] = []
-        self._values: list[np.ndarray] = []
-        self.parameters: list[int] = []  # node ids of trainable leaves
+        self.parameters: dict[int, np.ndarray] = {}  # trainable leaf id -> value
+        self._spent = False  # set by backward, whose rules drop what they kept
 
     # ------------------------------------------------------------------ leaves
 
@@ -144,23 +152,21 @@ class Tape:
         """Record ``data``, copied into the tape's dtype.  Trainable leaves get gradients."""
         # np.array keeps 0-d scalars 0-d (ascontiguousarray would promote them)
         arr = np.array(data, dtype=self.dtype, order="C", copy=True)
-        node_id = self._record("leaf", (), None, arr)
+        out = self._record("leaf", (), None, arr)
         if trainable:
-            self.parameters.append(node_id)
-            self.nodes[node_id].needs_grad = True
-        return Tensor(arr, self, node_id)
+            self.parameters[out.node_id] = arr
+            self.nodes[out.node_id].needs_grad = True
+        return out
 
-    def _record(self, kind, input_ids, backward_fn, value: np.ndarray) -> int:
+    def _record(self, kind, input_ids, backward_fn, value: np.ndarray) -> Tensor:
         node_id = len(self.nodes)
         needs_grad = any(self.nodes[i].needs_grad for i in input_ids)
         self.nodes.append(_Node(kind, input_ids, backward_fn, needs_grad))
-        self._values.append(value)
-        return node_id
+        return Tensor(value, self, node_id)
 
     def _out(self, kind, inputs, backward_fn, value: np.ndarray) -> Tensor:
-        value = np.asarray(value, dtype=self.dtype)
-        node_id = self._record(kind, tuple(t.node_id for t in inputs), backward_fn, value)
-        return Tensor(value, self, node_id)
+        return self._record(kind, tuple(t.node_id for t in inputs), backward_fn,
+                            np.asarray(value, dtype=self.dtype))
 
     def _check(self, t: Tensor) -> Tensor:
         if t.tape is not self:
@@ -266,23 +272,31 @@ class Tape:
     def prelu(self, x: Tensor, slope: Tensor) -> Tensor:
         """Parametric ReLU with a single trainable scalar slope.
 
-        Both passes multiply by ``_prelu_factor``; the backward rule rebuilds
-        it from the input rather than holding a mask on the tape.
+        Both passes multiply by ``_prelu_factor``.  The rule keeps the
+        forward's factor only when ``x`` needs a gradient, and drops it
+        once it has run.
         """
         self._check(x), self._check(slope)
         if slope.data.size != 1:
             raise ShapeError(f"prelu: slope must be scalar, got shape {slope.shape}")
         xv = x.data
         a = float(slope.data.reshape(()))
+        factor = _prelu_factor(xv, a)
+        value = xv * factor
+        if not x.needs_grad:
+            factor = None
 
         def backward(g):
+            nonlocal factor
             # minimum(x, 0) may turn a -0.0 input into +0.0; np.sum starts
             # from +0.0, so the sign of a zero term never shows in the total
-            return (g * _prelu_factor(xv, a) if x.needs_grad else None,
+            gx = None if factor is None else g * factor
+            factor = None
+            return (gx,
                     np.sum(g * np.minimum(xv, 0.0)).reshape(slope.data.shape)
                     if slope.needs_grad else None)
 
-        return self._out("prelu", (x, slope), backward, xv * _prelu_factor(xv, a))
+        return self._out("prelu", (x, slope), backward, value)
 
     def l2_normalize(self, x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
         """Divide by the euclidean norm along ``axis`` (rows by default)."""
@@ -298,20 +312,22 @@ class Tape:
 
         return self._out("l2_normalize", (x,), backward, y)
 
-    def conv2d(self, x: Tensor, weight: Tensor, stride: int = 1,
+    def conv2d(self, x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                padding: int = 0) -> Tensor:
-        """2-D convolution, NCHW input against an OIHW kernel, zero padding.
+        """2-D convolution of an NCHW input with an OIHW kernel, plus an (O, 1, 1) bias.
 
         Implemented by im2col: the padded input's windows form a
         (C*kh*kw, Ho*Wo*N) column matrix, and the forward pass and both
-        gradients are one matrix product each.  The input gradient is
-        scattered back onto the padded input with kh*kw strided adds, and
-        is skipped when the input needs no gradient.  The padded input and
-        the column matrix are rebuilt in the backward rule rather than kept
-        on the tape.  The output is an NCHW view of a (C, H, W, N) array, so
+        gradients are one matrix product each.  The bias is added in place
+        to the (O, Ho*Wo*N) product, and its gradient is ``add``'s.  Padding
+        is zeros.  The input gradient is scattered back
+        onto the padded input with kh*kw strided adds, and is skipped when
+        the input needs no gradient.  The rule keeps the forward's column
+        matrix only when the weight needs a gradient, and drops it once it
+        has run.  The output is an NCHW view of a (C, H, W, N) array, so
         an output gradient laid out like it reshapes to (O, Ho*Wo*N) for free.
         """
-        self._check(x), self._check(weight)
+        self._check(x), self._check(weight), self._check(bias)
         if x.data.ndim != 4 or weight.data.ndim != 4:
             raise ShapeError(
                 f"conv2d: need NCHW input and OIHW kernel, got {x.shape} and "
@@ -322,29 +338,41 @@ class Tape:
             raise ShapeError(
                 f"conv2d: input has {c} channels but kernel expects {ci} "
                 f"(shapes {x.shape} and {weight.shape})")
+        if bias.shape != (co, 1, 1):
+            raise ShapeError(
+                f"conv2d: bias must have shape {(co, 1, 1)} for kernel "
+                f"{weight.shape}, got {bias.shape}")
         if h + 2 * padding < kh or w + 2 * padding < kw:
             raise ShapeError(
                 f"conv2d: kernel {weight.shape} larger than padded input {x.shape}")
         xv, w2 = x.data, weight.data.reshape(co, -1)
         ho = (h + 2 * padding - kh) // stride + 1
         wo = (w + 2 * padding - kw) // stride + 1
-        value = (w2 @ _im2col(xv, kh, kw, stride, padding)).reshape(co, ho, wo, n)
+        cols = _im2col(xv, kh, kw, stride, padding)
+        value = w2 @ cols
+        value += bias.data.reshape(co, 1)
+        if not weight.needs_grad:
+            cols = None
 
         def backward(g):
+            nonlocal cols
             g2 = g.transpose(1, 2, 3, 0).reshape(co, -1)
-            gw = ((g2 @ _im2col(xv, kh, kw, stride, padding).T).reshape(co, ci, kh, kw)
-                  if weight.needs_grad else None)
+            gw = None if cols is None else (g2 @ cols.T).reshape(co, ci, kh, kw)
+            cols = None
+            gb = _unbroadcast(g, bias.shape) if bias.needs_grad else None
             if not x.needs_grad:
-                return None, gw
+                return None, gw, gb
             # scatter W^T g onto the padded input, then crop the padding
             contrib = (w2.T @ g2).reshape(c, kh, kw, ho, wo, n)
             gx = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=xv.dtype)
             for i in range(kh):
                 for j in range(kw):
                     gx[:, i:i + ho * stride:stride, j:j + wo * stride:stride] += contrib[:, i, j]
-            return gx[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2), gw
+            return (gx[:, padding:padding + h, padding:padding + w].transpose(3, 0, 1, 2),
+                    gw, gb)
 
-        return self._out("conv2d", (x, weight), backward, value.transpose(3, 0, 1, 2))
+        return self._out("conv2d", (x, weight, bias), backward,
+                         value.reshape(co, ho, wo, n).transpose(3, 0, 1, 2))
 
     # ------------------------------------------------------------- fused rules
 
@@ -372,14 +400,18 @@ class Tape:
         so the result is deterministic and bit-identical across repeated
         runs.  Only a node that needs a gradient and received one runs its
         rule.  Each trainable leaf gets an array of its own, zeros if no
-        gradient reached it.
+        gradient reached it.  Rules drop what they kept as they run, so a
+        second call on the same tape raises.
         """
         self._check(loss)
         if loss.data.size != 1:
             raise ValueError(
                 f"backward: loss must be scalar, got shape {loss.shape}")
+        if self._spent:
+            raise RuntimeError("backward already ran on this tape")
+        self._spent = True
         grads: list = [None] * len(self.nodes)
-        grads[loss.node_id] = np.ones_like(self._values[loss.node_id])
+        grads[loss.node_id] = np.ones_like(loss.data)
         for node_id in range(loss.node_id, -1, -1):
             node, g = self.nodes[node_id], grads[node_id]
             if g is None or not node.needs_grad or node.backward_fn is None:
@@ -392,8 +424,8 @@ class Tape:
                 elif self.nodes[i].kind == "leaf" and np.may_share_memory(c, g):
                     c = c.copy()  # a leaf's gradient is the caller's to keep
                 grads[i] = c
-        return {pid: np.zeros_like(self._values[pid]) if grads[pid] is None
-                else np.asarray(grads[pid]) for pid in self.parameters}
+        return {pid: np.zeros_like(value) if grads[pid] is None
+                else np.asarray(grads[pid]) for pid, value in self.parameters.items()}
 
 
 def grad_check(build_fn, inputs: list[np.ndarray], h: float = 1e-5) -> float:

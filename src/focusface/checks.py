@@ -104,8 +104,9 @@ def _probe_matmul(rng):
 def _probe_conv2d(rng):
     x = rng.uniform(0.3, 1.5, (2, 2, 6, 6))
     w = rng.uniform(0.3, 1.5, (3, 2, 3, 3))
-    return (lambda t, xt, wt:
-            _quadratic_readout(t, t.conv2d(xt, wt, stride=2, padding=1)), [x, w])
+    b = rng.uniform(0.3, 1.5, (3, 1, 1))
+    return (lambda t, xt, wt, bt:
+            _quadratic_readout(t, t.conv2d(xt, wt, bt, stride=2, padding=1)), [x, w, b])
 
 
 def _probe_prelu(rng):

@@ -117,11 +117,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         model, _ = load_checkpoint(config.init_checkpoint)
     # inputs fit would reject, and an unusable --out, fail before --out exists
     check_fit_inputs(corpus, model)
+    created = not os.path.isdir(config.out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
-    # a diverging run overflows before the guard stops it; its one
-    # error line is the report, not numpy's warnings on the way there
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state, log = fit(config.train, corpus, model=model)
+    try:
+        # a diverging run overflows before the guard stops it; its one
+        # error line is the report, not numpy's warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            state, log = fit(config.train, corpus, model=model)
+    except BaseException:
+        if created:  # still empty: nothing is written before fit returns
+            os.rmdir(config.out_dir)
+        raise
     trained = state.model
     # write the run before printing, so a closed stdout cannot lose it
     write_config(config, config.out_dir)

@@ -204,11 +204,12 @@ class ToyModel:
             raise ShapeError(
                 f"expected images of shape (batch, {c}, {hw}, {hw}), got {images.shape}")
         if leaves is None:
-            leaves = self.leaves(tape)
+            # inference: plain leaves take no gradient, so no rule keeps an array
+            leaves = {name: tape.leaf(value) for name, value in self.params.items()}
         x = tape.leaf(images)
         for i, (_, stride) in enumerate(self.config.stages):
-            x = tape.conv2d(x, leaves[f"conv{i}.weight"], stride=stride, padding=1)
-            x = tape.add(x, leaves[f"conv{i}.bias"])
+            x = tape.conv2d(x, leaves[f"conv{i}.weight"], leaves[f"conv{i}.bias"],
+                            stride=stride, padding=1)
             x = tape.prelu(x, leaves[f"conv{i}.slope"])
         flat = tape.flatten(x)
         # renormalize features to norm sqrt(dim): head inputs stay scale-stable

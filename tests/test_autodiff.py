@@ -90,14 +90,15 @@ def test_grad_check_three_layer_perceptron():
     assert err <= 1e-4
 
 
-def _conv2d_loops(x, w, g, stride, pad):
-    """Forward output and both gradients of sum(conv2d(x, w) * g), by loops."""
+def _conv2d_loops(x, w, b, g, stride, pad):
+    """Forward output and the three gradients of sum(conv2d(x, w, b) * g), by loops."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     n_img, _, kh, kw = x.shape[0], x.shape[1], w.shape[2], w.shape[3]
     ho = (xp.shape[2] - kh) // stride + 1
     wo = (xp.shape[3] - kw) // stride + 1
     out = np.zeros((n_img, w.shape[0], ho, wo))
     gw = np.zeros_like(w)
+    gb = np.zeros_like(b)
     gxp = np.zeros_like(xp)
     for n in range(n_img):
         for o in range(w.shape[0]):
@@ -105,11 +106,12 @@ def _conv2d_loops(x, w, g, stride, pad):
                 for j in range(wo):
                     rows = slice(i * stride, i * stride + kh)
                     cols = slice(j * stride, j * stride + kw)
-                    out[n, o, i, j] = np.sum(xp[n, :, rows, cols] * w[o])
+                    out[n, o, i, j] = np.sum(xp[n, :, rows, cols] * w[o]) + b[o, 0, 0]
                     gw[o] += g[n, o, i, j] * xp[n, :, rows, cols]
+                    gb[o] += g[n, o, i, j]
                     gxp[n, :, rows, cols] += g[n, o, i, j] * w[o]
     gx = gxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
-    return out, gx, gw
+    return out, gx, gw, gb
 
 
 def test_conv2d_matches_direct_loops():
@@ -119,29 +121,69 @@ def test_conv2d_matches_direct_loops():
             for c in (1, 3):
                 x = rng.normal(size=(2, c, 7, 6))
                 w = rng.normal(size=(4, c, 3, 3))
+                b = rng.normal(size=(4, 1, 1))
                 tape = Tape()
                 xt = tape.leaf(x, trainable=True)
                 wt = tape.leaf(w, trainable=True)
-                out = tape.conv2d(xt, wt, stride=stride, padding=pad)
+                bt = tape.leaf(b, trainable=True)
+                out = tape.conv2d(xt, wt, bt, stride=stride, padding=pad)
                 g = rng.normal(size=out.shape)
                 grads = tape.backward(tape.sum(tape.mul(out, tape.leaf(g))))
 
-                ref, ref_gx, ref_gw = _conv2d_loops(x, w, g, stride, pad)
+                ref, ref_gx, ref_gw, ref_gb = _conv2d_loops(x, w, b, g, stride, pad)
                 case = f"stride {stride}, padding {pad}, {c} channels"
                 np.testing.assert_allclose(out.data, ref, atol=1e-12, err_msg=case)
-                np.testing.assert_allclose(grads[xt.node_id], ref_gx, atol=1e-12,
-                                           err_msg=case)
-                np.testing.assert_allclose(grads[wt.node_id], ref_gw, atol=1e-12,
-                                           err_msg=case)
+                for leaf, want in ((xt, ref_gx), (wt, ref_gw), (bt, ref_gb)):
+                    np.testing.assert_allclose(grads[leaf.node_id], want, atol=1e-12,
+                                               err_msg=case)
 
                 # an input that needs no gradient (an image) skips the
-                # input-gradient pass; the weight gradient is unchanged
+                # input-gradient pass; the weight and bias gradients are unchanged
                 tape = Tape()
                 wt2 = tape.leaf(w, trainable=True)
-                out = tape.conv2d(tape.leaf(x), wt2, stride=stride, padding=pad)
-                only_w = tape.backward(tape.sum(tape.mul(out, tape.leaf(g))))
-                assert list(only_w) == [wt2.node_id]
-                assert only_w[wt2.node_id].tobytes() == grads[wt.node_id].tobytes()
+                bt2 = tape.leaf(b, trainable=True)
+                out = tape.conv2d(tape.leaf(x), wt2, bt2, stride=stride, padding=pad)
+                frozen_x = tape.backward(tape.sum(tape.mul(out, tape.leaf(g))))
+                assert list(frozen_x) == [wt2.node_id, bt2.node_id]
+                assert frozen_x[wt2.node_id].tobytes() == grads[wt.node_id].tobytes()
+                assert frozen_x[bt2.node_id].tobytes() == grads[bt.node_id].tobytes()
+
+
+def test_conv2d_bias_equals_added_bias_bit_for_bit():
+    # the bias folded into conv2d gives the bits of an add after a zero-bias
+    # conv2d, in the value and in every gradient
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(3, 2, 6, 5))
+    w = rng.normal(size=(4, 2, 3, 3))
+    b = rng.normal(size=(4, 1, 1))
+    for dtype in (np.float32, np.float64):
+        g = rng.normal(size=(3, 4, 3, 3)).astype(dtype)
+        results = []
+        for fold in (True, False):
+            tape = Tape(dtype)
+            xt, wt, bt = (tape.leaf(v, trainable=True) for v in (x, w, b))
+            if fold:
+                out = tape.conv2d(xt, wt, bt, stride=2, padding=1)
+            else:
+                zeros = tape.leaf(np.zeros_like(b))
+                out = tape.add(tape.conv2d(xt, wt, zeros, stride=2, padding=1), bt)
+            grads = tape.backward(tape.sum(tape.mul(out, tape.leaf(g))))
+            results.append([out.data.tobytes()] +
+                           [grads[t.node_id].tobytes() for t in (xt, wt, bt)])
+            assert out.data.dtype == dtype
+        assert results[0] == results[1], np.dtype(dtype).name
+
+
+def test_backward_runs_once_per_tape():
+    # conv2d and prelu drop the arrays they kept once their rules have run
+    tape = Tape()
+    xt = tape.leaf(np.ones((1, 1, 4, 4)), trainable=True)
+    out = tape.conv2d(xt, tape.leaf(np.ones((2, 1, 3, 3)), trainable=True),
+                      tape.leaf(np.zeros((2, 1, 1))), padding=1)
+    loss = tape.sum(tape.prelu(out, tape.leaf(0.25, trainable=True)))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="backward already ran"):
+        tape.backward(loss)
 
 
 def test_prelu_matches_where_formula_bit_for_bit():
@@ -223,7 +265,10 @@ def test_conv2d_channel_mismatch():
     tape = Tape()
     with pytest.raises(ShapeError, match="conv2d"):
         tape.conv2d(tape.leaf(np.ones((1, 2, 4, 4))),
-                    tape.leaf(np.ones((3, 5, 3, 3))))
+                    tape.leaf(np.ones((3, 5, 3, 3))), tape.leaf(np.ones((3, 1, 1))))
+    with pytest.raises(ShapeError, match="bias must have shape"):
+        tape.conv2d(tape.leaf(np.ones((1, 2, 4, 4))),
+                    tape.leaf(np.ones((3, 2, 3, 3))), tape.leaf(np.ones(3)))
 
 
 def test_flatten_round_trip_gradient():

@@ -327,7 +327,13 @@ def test_train_out_of_float32_range_is_one_line_error(corpus_dir, tmp_path,
     assert err.count("\n") == 1
     assert err.endswith(": parameter conv0.bias at iteration 0: 6 of 8 entries "
                         "are outside float32 range\n")
-    assert not list(out.glob("*.ckpt"))
+    # train made the directory, so the failed run takes it away again
+    assert not out.exists()
+    # a directory that was there before the run stays
+    out.mkdir()
+    assert run_cli("train", "--data", corpus_dir, "--out", str(out),
+                   "--set", "lr=1e40", "--set", "max_iterations=1") == 2
+    assert out.is_dir() and not list(out.iterdir())
 
 
 def test_train_invalid_loop_value_is_one_line_error(corpus_dir, tmp_path, capsys):

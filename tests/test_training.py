@@ -5,11 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
+from focusface import model as model_module
 from focusface import training
 from focusface.autodiff import Tape
 from focusface.data import build_splits, train_batch
 from focusface.losses import LossConfig
-from focusface.model import ToyBackboneConfig, ToyModel
+from focusface.model import ToyBackboneConfig, ToyModel, embed_images
 from focusface.training import (
     LOG_FIELDS,
     TrainConfig,
@@ -286,6 +287,33 @@ def test_train_iteration_tape_is_left_to_the_cyclic_collector(corpus, monkeypatc
         gc.enable()
     gc.collect()
     assert tapes[0]() is None
+
+
+def test_tape_node_counts_and_inference_leaves(corpus, monkeypatch):
+    # a training tape: 16 parameter leaves, then per forward an image leaf,
+    # three conv2d + prelu stages and 9 head nodes, then the losses; an
+    # inference tape records the parameters as plain leaves, so no node on
+    # it takes a gradient and no rule keeps an array
+    tapes = []
+
+    class RecordedTape(Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(self)
+
+    monkeypatch.setattr(training, "Tape", RecordedTape)
+    monkeypatch.setattr(model_module, "Tape", RecordedTape)
+    model = tiny_model(seed=3, num_classes=corpus.num_classes)
+    batch = small_batch(corpus)
+    for baseline, nodes in ((False, 72), (True, 60)):
+        train_iteration(init_state(model.clone()), batch,
+                        TrainConfig(batch_size=8, baseline=baseline))
+        assert len(tapes[-1].nodes) == nodes
+    tapes.clear()
+    embed_images(model, batch.unmasked)
+    assert len(tapes) == 1
+    assert tapes[0].parameters == {}
+    assert not any(node.needs_grad for node in tapes[0].nodes)
 
 
 def test_frozen_head_gradients_equal_unfrozen_bit_for_bit(corpus):
