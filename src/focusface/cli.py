@@ -38,6 +38,7 @@ from .metrics import (
     compute_metrics,
     mask_detection_roc,
     protocol_scores,
+    roc_points,
     split_mask_detection_set,
     write_metrics_report,
     write_roc_csv,
@@ -140,7 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(trained, final_path, seed=config.train.seed)
     print(f"trainable parameters: {_group(trained.trainable_count())} "
           f"of {_group(trained.total_count())}")
-    if state.best_iteration >= 0 and state.best_fmr100 == state.best_fmr100:
+    if state.best_fmr100 == state.best_fmr100:
         print(f"best validation fmr100 {state.best_fmr100:.10g} "
               f"at iteration {state.best_iteration}")
     print(f"wrote {log_path}, {best_path}, {final_path}")
@@ -224,7 +225,6 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 def cmd_roc_export(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     split = _eval_split(args)
-    from .metrics import roc_points
     points = roc_points(protocol_scores(model, split, args.mode))
     write_roc_csv(points, args.out)
     print(f"wrote {args.out} ({len(points)} points)")

@@ -15,6 +15,7 @@ parallel generation cannot change the result.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,15 +42,15 @@ _TAG_IDENTITY = 1
 _TAG_MASK = 2
 _TAG_BATCH = 4
 
-# variation-seed blocks; train samples use 0..samples_per_identity-1
-_REF_SEED_BASE = 100_000
-_PROBE_SEED_BASE = 200_000
-
-# per-identity evaluation protocol: session-1 references, session-2/3 probes
-_REFS_UNMASKED = 2
-_REFS_MASKED = 4
-_PROBES_UNMASKED = 4
-_PROBES_MASKED = 8
+# per-identity evaluation protocol: session-1 references, session-2/3 probes.
+# Each side gives its variation-seed base and one (masked, session) pair per
+# image; an image's seed is the base plus its position.  Train samples use
+# seeds 0..samples_per_identity-1, below every base.
+EVAL_PROTOCOL = (
+    ("ref", 100_000, ((False, 1),) * 2 + ((True, 1),) * 4),
+    ("probe", 200_000, ((False, 2),) * 2 + ((False, 3),) * 2
+     + ((True, 2),) * 4 + ((True, 3),) * 4),
+)
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,12 @@ def render_sample(identity: IdentitySpec, variation_seed: int) -> np.ndarray:
 
 # -- occluders ---------------------------------------------------------------
 
+def _check_coverage(coverage: float) -> None:
+    if not 1 <= round(coverage * IMAGE_HW) <= IMAGE_HW - 1:
+        raise ValueError(f"coverage {coverage} must occlude between 1 and "
+                         f"{IMAGE_HW - 1} of the {IMAGE_HW} rows")
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     """Occluder choice: geometry, fill intensity, covered height fraction."""
@@ -119,10 +126,7 @@ class MaskSpec:
             raise ValueError(f"mask_type must be one of {MASK_TYPES}, got {self.mask_type!r}")
         if not -1.0 <= self.color_intensity <= 1.0:
             raise ValueError(f"color_intensity must be in [-1, 1], got {self.color_intensity}")
-        if not 1 <= round(self.coverage * IMAGE_HW) <= IMAGE_HW - 1:
-            raise ValueError(
-                f"coverage {self.coverage} must occlude between 1 and "
-                f"{IMAGE_HW - 1} of the {IMAGE_HW} rows")
+        _check_coverage(self.coverage)
 
     @property
     def rows(self) -> int:
@@ -134,10 +138,7 @@ def check_coverage_range(lo: float, hi: float) -> tuple:
     if not lo <= hi:
         raise ValueError(f"coverage range must be ordered, got [{lo}, {hi}]")
     for value in (lo, hi):
-        if not 1 <= round(value * IMAGE_HW) <= IMAGE_HW - 1:
-            raise ValueError(
-                f"coverage {value} must occlude between 1 and "
-                f"{IMAGE_HW - 1} of the {IMAGE_HW} rows")
+        _check_coverage(value)
     return (float(lo), float(hi))
 
 
@@ -250,39 +251,28 @@ def split_identity_counts(num_identities: int):
     return num_identities - test - val, val, test
 
 
-def _build_eval_side(identities, seed_base, counts_unmasked, counts_masked,
-                     sessions_u, sessions_m, coverage_range=COVERAGE_RANGE):
-    images, ids, masked, sessions = [], [], [], []
-    for spec in identities:
-        for k in range(counts_unmasked):
-            images.append(render_sample(spec, seed_base + k))
-            ids.append(spec.identity_id)
-            masked.append(False)
-            sessions.append(sessions_u[k])
-        for j in range(counts_masked):
-            seed = seed_base + counts_unmasked + j
-            img = apply_mask(render_sample(spec, seed),
-                             _mask_spec_for(spec, seed, coverage_range))
-            images.append(img)
-            ids.append(spec.identity_id)
-            masked.append(True)
-            sessions.append(sessions_m[j])
+def _eval_side(images, identity_ids, layout) -> EvalSide:
+    """A side's arrays: images identity-major, ``layout`` once per identity."""
+    masked, sessions = zip(*layout)
+    count = len(identity_ids)
     return EvalSide(np.asarray(images, dtype=np.float32).reshape(-1, IMAGE_HW, IMAGE_HW),
-                    np.asarray(ids, dtype=np.int64),
-                    np.asarray(masked, dtype=bool),
-                    np.asarray(sessions, dtype=np.int64))
+                    np.repeat(np.asarray(identity_ids, dtype=np.int64), len(layout)),
+                    np.tile(np.asarray(masked, dtype=bool), count),
+                    np.tile(np.asarray(sessions, dtype=np.int64), count))
 
 
 def _build_eval_split(identities, coverage_range=COVERAGE_RANGE) -> EvalSplit:
-    references = _build_eval_side(
-        identities, _REF_SEED_BASE, _REFS_UNMASKED, _REFS_MASKED,
-        sessions_u=[1] * _REFS_UNMASKED, sessions_m=[1] * _REFS_MASKED,
-        coverage_range=coverage_range)
-    probes = _build_eval_side(
-        identities, _PROBE_SEED_BASE, _PROBES_UNMASKED, _PROBES_MASKED,
-        sessions_u=[2, 2, 3, 3], sessions_m=[2, 2, 2, 2, 3, 3, 3, 3],
-        coverage_range=coverage_range)
-    return EvalSplit(references, probes)
+    sides = []
+    for _, seed_base, layout in EVAL_PROTOCOL:
+        images = []
+        for spec in identities:
+            for k, (is_masked, _) in enumerate(layout):
+                img = render_sample(spec, seed_base + k)
+                if is_masked:
+                    img = apply_mask(img, _mask_spec_for(spec, seed_base + k, coverage_range))
+                images.append(img)
+        sides.append(_eval_side(images, [spec.identity_id for spec in identities], layout))
+    return EvalSplit(*sides)
 
 
 def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
@@ -291,8 +281,9 @@ def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
     """Identity-disjoint train/val/test splits; eval splits hold references
     (session 1) and probes (sessions 2 and 3) with disjoint variation seeds."""
     train_n, val_n, test_n = split_identity_counts(num_identities)
-    if not 0 < samples_per_identity < _REF_SEED_BASE:
-        raise ValueError(f"samples_per_identity must be in [1, {_REF_SEED_BASE}), "
+    seed_floor = min(base for _, base, _ in EVAL_PROTOCOL)
+    if not 0 < samples_per_identity < seed_floor:
+        raise ValueError(f"samples_per_identity must be in [1, {seed_floor}), "
                          f"got {samples_per_identity}")
     coverage_range = check_coverage_range(*coverage_range)
     specs = [identity_spec(dataset_seed, i) for i in range(num_identities)]
@@ -385,15 +376,24 @@ def _read_image(path: str) -> np.ndarray:
     return img.reshape(IMAGE_HW, IMAGE_HW)
 
 
-def _eval_rows(split_name: str, split: EvalSplit):
-    for side_name, side in (("ref", split.references), ("probe", split.probes)):
-        for k in range(len(side.images)):
-            ident = int(side.identity_ids[k])
-            m = "m" if side.masked[k] else "u"
-            role = f"{side_name}{int(side.sessions[k])}"
-            name = f"id{ident:04d}_{role}_{m}{k:04d}.f32"
-            yield (f"images/{split_name}/{name}", ident, bool(side.masked[k]),
-                   split_name, role, side.images[k])
+def _manifest_rows(ids: dict, samples: int):
+    """Every manifest row below the header, in written order.
+
+    ``ids`` maps each split name to its identity ids.  Train rows pair each
+    sample's unmasked and masked image; eval rows follow EVAL_PROTOCOL, and
+    their file names number the images by position within the side.
+    """
+    def row(split, ident, role, is_masked, index):
+        name = f"id{ident:04d}_{role}_{'um'[is_masked]}{index:04d}.f32"
+        return f"images/{split}/{name}\t{ident}\t{int(is_masked)}\t{split}\t{role}"
+
+    for ident, s, is_masked in itertools.product(ids["train"], range(samples), (False, True)):
+        yield row("train", ident, "train", is_masked, s)
+    for split in ("val", "test"):
+        for side, _, layout in EVAL_PROTOCOL:
+            cells = itertools.product(ids[split], layout)
+            for k, (ident, (is_masked, session)) in enumerate(cells):
+                yield row(split, ident, f"{side}{session}", is_masked, k)
 
 
 def save_corpus(corpus: Corpus, outdir: str) -> str:
@@ -403,42 +403,32 @@ def save_corpus(corpus: Corpus, outdir: str) -> str:
     (train, ref1, probe2, probe3); header comments carry the dataset seed
     and samples-per-identity so the corpus can be reloaded self-contained.
     """
-    rows = []
-    for i, ident in enumerate(corpus.train_identity_ids):
-        for s in range(corpus.samples_per_identity):
-            for m, stack in (("u", corpus.train_unmasked), ("m", corpus.train_masked)):
-                name = f"id{int(ident):04d}_train_{m}{s:04d}.f32"
-                rows.append((f"images/train/{name}", int(ident), m == "m",
-                             "train", "train", stack[i, s]))
-    rows.extend(_eval_rows("val", corpus.val))
-    rows.extend(_eval_rows("test", corpus.test))
-
-    for split in ("train", "val", "test"):
+    ids = {"train": corpus.train_identity_ids.tolist(),
+           "val": list(dict.fromkeys(corpus.val.references.identity_ids.tolist())),
+           "test": list(dict.fromkeys(corpus.test.references.identity_ids.tolist()))}
+    rows = list(_manifest_rows(ids, corpus.samples_per_identity))
+    for split in ids:
         os.makedirs(os.path.join(outdir, "images", split), exist_ok=True)
+    train = np.stack((corpus.train_unmasked, corpus.train_masked), axis=2)
+    images = itertools.chain(train.reshape(-1, IMAGE_HW, IMAGE_HW),
+                             *(side.images for split in (corpus.val, corpus.test)
+                               for side in (split.references, split.probes)))
+    for row, img in zip(rows, images, strict=True):
+        _write_image(os.path.join(outdir, row.split("\t", 1)[0]), img)
     lo, hi = corpus.coverage_range
     lines = [MANIFEST_MAGIC,
              f"# dataset_seed = {corpus.dataset_seed}",
              f"# samples_per_identity = {corpus.samples_per_identity}",
-             f"# coverage_range = {lo:.10g},{hi:.10g}"]
-    for path, ident, masked, split, role, img in rows:
-        _write_image(os.path.join(outdir, path), img)
-        lines.append(f"{path}\t{ident}\t{int(masked)}\t{split}\t{role}")
+             f"# coverage_range = {lo:.10g},{hi:.10g}",
+             *rows]
     manifest_path = os.path.join(outdir, MANIFEST_NAME)
     with open(manifest_path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
     return manifest_path
 
 
-def _side_from_rows(rows, outdir):
-    images = np.stack([_read_image(os.path.join(outdir, r[0])) for r in rows]) \
-        if rows else np.zeros((0, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-    return EvalSide(images.astype(np.float32),
-                    np.array([r[1] for r in rows], dtype=np.int64),
-                    np.array([r[2] for r in rows], dtype=bool),
-                    np.array([int(r[4][-1]) for r in rows], dtype=np.int64))
-
-
 def load_corpus(outdir: str) -> Corpus:
+    """Read a saved corpus; its rows must be exactly the protocol's, in order."""
     try:
         manifest_path = os.path.join(outdir, MANIFEST_NAME)
         with open(manifest_path, encoding="ascii") as f:
@@ -455,40 +445,49 @@ def load_corpus(outdir: str) -> Corpus:
                 else:
                     meta[key] = int(value)
             elif line and not line.startswith("#"):
-                path, ident, masked, split, role = line.split("\t")
-                rows.append((path, int(ident), masked == "1", split, role))
+                rows.append(line)
 
         for key in ("dataset_seed", "samples_per_identity"):
             if key not in meta:
                 raise ValueError(f"{manifest_path} has no '# {key} = ' header line")
         samples = meta["samples_per_identity"]
-        train_rows = [r for r in rows if r[3] == "train"]
-        train_ids = sorted({r[1] for r in train_rows})
-        id_index = {ident: i for i, ident in enumerate(train_ids)}
-        unmasked = np.zeros((len(train_ids), samples, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-        masked_arr = np.zeros_like(unmasked)
-        for path, ident, is_masked, _, _ in train_rows:
-            index = int(path.rsplit(".", 1)[0][-4:])
-            if not 0 <= index < samples:
-                raise ValueError(f"{manifest_path}: train row {path} is sample {index}, "
-                                 f"but samples_per_identity is {samples}")
-            target = masked_arr if is_masked else unmasked
-            target[id_index[ident], index] = _read_image(os.path.join(outdir, path))
+        # identities in order of first appearance; the row check below
+        # rejects any manifest the protocol would not write for them
+        columns = [row.split("\t") for row in rows]
+        ids = {split: list(dict.fromkeys(int(c[1]) for c in columns
+                                         if c[3:4] == [split] and c[1].isdigit()))
+               for split in ("train", "val", "test")}
+        expected = list(_manifest_rows(ids, samples))
+        for n, (got, want) in enumerate(zip(rows, expected), 1):
+            if got != want:
+                raise ValueError(f"{manifest_path}: row {n} reads {got!r}, "
+                                 f"the protocol expects {want!r}")
+        if len(rows) != len(expected):
+            raise ValueError(f"{manifest_path} has {len(rows)} rows, "
+                             f"the protocol expects {len(expected)}")
 
-        def eval_split(split_name):
-            side_rows = [r for r in rows if r[3] == split_name]
-            refs = [r for r in side_rows if r[4].startswith("ref")]
-            probes = [r for r in side_rows if r[4].startswith("probe")]
-            return EvalSplit(_side_from_rows(refs, outdir), _side_from_rows(probes, outdir))
+        images = np.empty((len(rows), IMAGE_HW, IMAGE_HW), dtype=np.float32)
+        for n, c in enumerate(columns):
+            images[n] = _read_image(os.path.join(outdir, c[0]))
+        start = len(ids["train"]) * samples * 2
+        pairs = images[:start].reshape(len(ids["train"]), samples, 2, IMAGE_HW, IMAGE_HW)
+        splits = {}
+        for split in ("val", "test"):
+            sides = []
+            for _, _, layout in EVAL_PROTOCOL:
+                stop = start + len(ids[split]) * len(layout)
+                sides.append(_eval_side(images[start:stop], ids[split], layout))
+                start = stop
+            splits[split] = EvalSplit(*sides)
 
         return Corpus(
             dataset_seed=meta["dataset_seed"],
             samples_per_identity=samples,
-            train_identity_ids=np.array(train_ids, dtype=np.int64),
-            train_unmasked=unmasked,
-            train_masked=masked_arr,
-            val=eval_split("val"),
-            test=eval_split("test"),
+            train_identity_ids=np.array(ids["train"], dtype=np.int64),
+            train_unmasked=pairs[:, :, 0],
+            train_masked=pairs[:, :, 1],
+            val=splits["val"],
+            test=splits["test"],
             coverage_range=meta.get("coverage_range", COVERAGE_RANGE),
         )
     except (OSError, ValueError) as exc:

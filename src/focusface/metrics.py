@@ -10,7 +10,7 @@ the trapezoidal area under the (FMR, 1-FNMR) curve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,15 +43,7 @@ class MetricsReport:
     threshold_at_eer: float
 
     def as_dict(self) -> dict:
-        return {
-            "eer": self.eer,
-            "auc": self.auc,
-            "fmr100": self.fmr100,
-            "fmr10": self.fmr10,
-            "gmean": self.gmean,
-            "imean": self.imean,
-            "threshold_at_eer": self.threshold_at_eer,
-        }
+        return asdict(self)
 
 
 def _checked(scores: ScoreSet):
@@ -173,9 +165,8 @@ def write_roc_csv(points, path: str) -> None:
 
 
 def write_metrics_report(report: MetricsReport, path: str, **metadata) -> None:
-    """Flat key-value JSON document: the six metrics plus protocol metadata."""
-    payload = dict(report.as_dict())
-    payload.update(metadata)
+    """Flat key-value JSON document: the report fields plus protocol metadata."""
+    payload = {**report.as_dict(), **metadata}
     with open(path, "w", encoding="ascii") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

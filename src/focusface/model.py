@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -225,11 +225,6 @@ class ToyModel:
                                leaves["mask_classifier.bias"])
         return DualHeadOutput(recognition, mask_embedding, mask_logits)
 
-    def clone(self) -> "ToyModel":
-        return ToyModel(self.config,
-                        {k: v.copy() for k, v in self.params.items()},
-                        frozen=self.frozen)
-
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
@@ -276,14 +271,12 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
 def save_checkpoint(model: ToyModel, path: str, seed: int = 0) -> None:
     """Text header then flat little-endian float32 arrays in header order."""
     config = model.config
-    lines = [CHECKPOINT_MAGIC]
-    lines.append(f"seed = {seed}")
-    lines.append(f"input_hw = {config.input_hw}")
-    lines.append(f"in_channels = {config.in_channels}")
-    lines.append("stages = " + ",".join(f"{c}:{s}" for c, s in config.stages))
-    lines.append(f"recognition_dim = {config.recognition_dim}")
-    lines.append(f"mask_dim = {config.mask_dim}")
-    lines.append(f"num_classes = {config.num_classes}")
+    lines = [CHECKPOINT_MAGIC, f"seed = {seed}"]
+    for field in fields(ToyBackboneConfig):
+        value = getattr(config, field.name)
+        if field.name == "stages":
+            value = ",".join(f"{c}:{s}" for c, s in value)
+        lines.append(f"{field.name} = {value}")
     lines.append(f"frozen = {model.frozen}")
     for name, value in model.params.items():
         dims = " ".join(str(d) for d in value.shape) if value.ndim else "scalar"
@@ -329,7 +322,7 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
             raise ValueError("not a recognized checkpoint file")
         header = raw[:end].decode("ascii").splitlines()[1:]
         body = raw[end + len(b"end-header\n"):]
-        fields = {}
+        values = {}
         order = []
         for line in header:
             if line.startswith("param "):
@@ -338,21 +331,15 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
                 order.append((name, shape))
             elif " = " in line:
                 key, value = line.split(" = ", 1)
-                fields[key] = value
+                values[key] = value
         # seed and frozen have defaults; the architecture fields do not
-        required = ("input_hw", "in_channels", "stages", "recognition_dim",
-                    "mask_dim", "num_classes")
-        missing = [key for key in required if key not in fields]
+        names = [field.name for field in fields(ToyBackboneConfig)]
+        missing = [name for name in names if name not in values]
         if missing:
             raise ValueError(f"header lacks field(s) {', '.join(missing)}")
-        config = ToyBackboneConfig(
-            input_hw=int(fields["input_hw"]),
-            in_channels=int(fields["in_channels"]),
-            stages=_parse_stages(fields["stages"]),
-            recognition_dim=int(fields["recognition_dim"]),
-            mask_dim=int(fields["mask_dim"]),
-            num_classes=int(fields["num_classes"]),
-        )
+        config = ToyBackboneConfig(**{
+            name: _parse_stages(values[name]) if name == "stages" else int(values[name])
+            for name in names})
         if order != _param_layout(config):
             raise ValueError("header param lines do not match its architecture fields")
         expected = 4 * sum(math.prod(shape) for _, shape in order)
@@ -367,7 +354,7 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
             offset += size * 4
             if not np.isfinite(chunk).all():
                 raise ValueError(f"parameter {name}: {count_entries(~np.isfinite(chunk))}")
-        model = ToyModel(config, params, frozen=fields.get("frozen", "none"))
-        return model, int(fields.get("seed", 0))
+        model = ToyModel(config, params, frozen=values.get("frozen", "none"))
+        return model, int(values.get("seed", 0))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

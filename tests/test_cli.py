@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -377,6 +378,18 @@ def one_train_identity_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def tampered_corpus_dir(tmp_path_factory, corpus_dir):
+    # a copy of corpus_dir whose manifest lost one train row
+    out = tmp_path_factory.mktemp("tampered") / "corpus"
+    shutil.copytree(corpus_dir, out)
+    manifest = out / "manifest.tsv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines
+                                if not line.startswith("images/train/id0002_train_m0003")))
+    return str(out)
+
+
 # each case: argv from the paths at hand, and a text the error line names
 BAD_INPUTS = {
     "gen-data-one-identity": lambda p: (
@@ -392,6 +405,8 @@ BAD_INPUTS = {
     "train-one-identity": lambda p: (
         ["train", "--data", p["tiny"], "--out", p["new"], *FAST],
         "needs at least 2 training identities, the corpus has 1"),
+    "train-tampered-manifest": lambda p: (
+        ["train", "--data", p["tampered"], "--out", p["new"], *FAST], "manifest.tsv"),
     "train-out-is-file": lambda p: (
         ["train", "--data", p["corpus"], "--out", p["file"], *FAST], p["file"]),
     "eval-out-is-file": lambda p: (
@@ -408,12 +423,13 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_is_one_line_error(corpus_dir, run_dir, one_train_identity_dir,
-                                     tmp_path, capsys, case):
+                                     tampered_corpus_dir, tmp_path, capsys, case):
     file_path = tmp_path / "file"
     file_path.write_text("")
     wide = str(tmp_path / "wide.ckpt")
     save_checkpoint(ToyModel.init(ToyBackboneConfig(num_classes=30)), wide)
     paths = {"corpus": corpus_dir, "tiny": one_train_identity_dir,
+             "tampered": tampered_corpus_dir,
              "ckpt": os.path.join(run_dir, "best.ckpt"), "wide": wide,
              "file": str(file_path), "new": str(tmp_path / "new")}
     argv, named = BAD_INPUTS[case](paths)

@@ -1,5 +1,7 @@
 """Rendering determinism, occluder behavior, pairing, splits, disk format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,5 +291,42 @@ def test_load_rejects_manifest_without_samples_line(tmp_path):
 def test_load_rejects_rows_beyond_declared_samples(tmp_path):
     out = _edit_manifest(tmp_path, lambda text: text.replace(
         "# samples_per_identity = 3", "# samples_per_identity = 2"))
-    with pytest.raises(ValueError, match=r"manifest\.tsv: train row .*_train_u0002"):
+    with pytest.raises(ValueError, match=r"manifest\.tsv: row 5 reads .*_train_u0002"):
         load_corpus(out)
+
+
+def _without(row):
+    return lambda text: text.replace(row + "\n", "", 1)
+
+
+def _swapped(a, b):
+    return lambda text: text.replace(a, "\0").replace(b, a).replace("\0", b)
+
+
+# build_splits(8, 3) puts identities 0-4 in train, 5 in val and 6-7 in test
+TRAIN_ROW = "images/train/id0001_train_m0001.f32\t1\t1\ttrain\ttrain"
+LAST_ROW = "images/test/id0007_probe3_m0023.f32\t7\t1\ttest\tprobe3"
+
+
+@pytest.mark.parametrize("edit", [
+    _without(TRAIN_ROW),
+    _without(LAST_ROW),
+    lambda text: text.replace(TRAIN_ROW, TRAIN_ROW + "\n" + TRAIN_ROW),
+    # same identity, mask and role: only the order tells the images apart
+    _swapped("images/train/id0000_train_u0000.f32", "images/train/id0000_train_u0001.f32"),
+    _swapped("images/val/id0005_ref1_u0000.f32\t5\t0",
+             "images/val/id0005_ref1_m0002.f32\t5\t1"),
+], ids=["dropped-train-row", "dropped-eval-row", "duplicated-row",
+        "swapped-train-samples", "swapped-eval-rows"])
+def test_load_rejects_tampered_manifest(tmp_path, edit):
+    out = _edit_manifest(tmp_path, edit)
+    with pytest.raises(ValueError, match=r"manifest\.tsv.* the protocol expects"):
+        load_corpus(out)
+
+
+def test_manifest_bytes_are_pinned(tmp_path):
+    # corpora saved by earlier versions load only while the writer's rows stay put
+    manifest = save_corpus(build_splits(4, 2, dataset_seed=0), str(tmp_path / "corpus"))
+    with open(manifest, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
+    assert digest == "ca997152ee0125225e0ee231a831f04d9eff99657b0a6ca15e7148cdf7834e7a"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -229,7 +230,7 @@ def test_mse_on_normalized_training_step_is_bounded():
     bound = 4.0 / model.config.recognition_dim
     mse = {}
     for normalize in (True, False):
-        state = init_state(model.clone())
+        state = init_state(copy.deepcopy(model))
         mse[normalize] = train_iteration(state, batch, TrainConfig(
             batch_size=8, loss=LossConfig(mse_on_normalized=normalize)))["mse"]
     assert np.isfinite(mse[True]) and 0.0 <= mse[True] <= bound

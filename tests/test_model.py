@@ -167,6 +167,41 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
                               model.params[name].astype(np.float32).astype(np.float64))
 
 
+def test_checkpoint_header_is_pinned(tmp_path):
+    # the header's field order is the file format; checkpoints already on disk
+    # load only while the writer keeps it
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(ToyModel.init(seed=0), str(path), seed=0)
+    raw = path.read_bytes()
+    assert raw[:raw.index(b"end-header\n") + len(b"end-header\n")] == (
+        b"focusface-checkpoint v1\n"
+        b"seed = 0\n"
+        b"input_hw = 32\n"
+        b"in_channels = 1\n"
+        b"stages = 8:2,16:2,32:2\n"
+        b"recognition_dim = 64\n"
+        b"mask_dim = 8\n"
+        b"num_classes = 20\n"
+        b"frozen = none\n"
+        b"param conv0.weight 8 1 3 3\n"
+        b"param conv0.bias 8 1 1\n"
+        b"param conv0.slope scalar\n"
+        b"param conv1.weight 16 8 3 3\n"
+        b"param conv1.bias 16 1 1\n"
+        b"param conv1.slope scalar\n"
+        b"param conv2.weight 32 16 3 3\n"
+        b"param conv2.bias 32 1 1\n"
+        b"param conv2.slope scalar\n"
+        b"param recognition.weight 512 64\n"
+        b"param recognition.bias 64\n"
+        b"param mask.weight 512 8\n"
+        b"param mask.bias 8\n"
+        b"param mask_classifier.weight 8 2\n"
+        b"param mask_classifier.bias 2\n"
+        b"param arcface.weight 64 20\n"
+        b"end-header\n")
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import weakref
@@ -250,10 +251,10 @@ def test_frozen_step_runs_no_backbone_backward_rule(corpus, monkeypatch):
     batch = small_batch(corpus)
     calls = _count_backward_rules(monkeypatch)
     model = tiny_model(seed=3, num_classes=corpus.num_classes)
-    train_iteration(init_state(model.clone()), batch, TrainConfig(batch_size=8))
+    train_iteration(init_state(copy.deepcopy(model)), batch, TrainConfig(batch_size=8))
     assert calls["conv2d"] == 6 and calls["prelu"] == 6  # 3 stages, 2 forwards
     calls.clear()
-    train_iteration(init_state(model.clone().freeze("backbone")), batch,
+    train_iteration(init_state(copy.deepcopy(model).freeze("backbone")), batch,
                     TrainConfig(batch_size=8, freeze_backbone=True))
     assert "conv2d" not in calls and "prelu" not in calls
     assert calls["matmul"] > 0
@@ -306,7 +307,7 @@ def test_tape_node_counts_and_inference_leaves(corpus, monkeypatch):
     model = tiny_model(seed=3, num_classes=corpus.num_classes)
     batch = small_batch(corpus)
     for baseline, nodes in ((False, 72), (True, 60)):
-        train_iteration(init_state(model.clone()), batch,
+        train_iteration(init_state(copy.deepcopy(model)), batch,
                         TrainConfig(batch_size=8, baseline=baseline))
         assert len(tapes[-1].nodes) == nodes
     tapes.clear()
@@ -322,7 +323,7 @@ def test_frozen_head_gradients_equal_unfrozen_bit_for_bit(corpus):
     results = []
     for frozen in ("none", "backbone"):
         tape = Tape()
-        comb, _, leaves = build_losses(model.clone().freeze(frozen), tape, batch,
+        comb, _, leaves = build_losses(copy.deepcopy(model).freeze(frozen), tape, batch,
                                        LossConfig())
         grads = tape.backward(comb)
         results.append({name: grads[t.node_id] for name, t in leaves.items()
