@@ -139,7 +139,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     final_path = os.path.join(config.out_dir, "final.ckpt")
     save_checkpoint(best_model(state), best_path, seed=config.train.seed)
     save_checkpoint(trained, final_path, seed=config.train.seed)
-    print(f"trainable parameters: {_group(trained.trainable_count())} "
+    trainable = sum(v.size for v in state.velocities.values())
+    print(f"trainable parameters: {_group(trainable)} "
           f"of {_group(trained.total_count())}")
     if state.best_fmr100 == state.best_fmr100:
         print(f"best validation fmr100 {state.best_fmr100:.10g} "

@@ -12,6 +12,7 @@ Every value is validated at load time, so a bad one fails before any work.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -74,7 +75,10 @@ def _parse_value(kind: str, raw: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+        return value
     if kind == "tuple":
         return tuple(int(v) for v in raw.split(",")) if raw else ()
     return raw

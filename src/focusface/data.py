@@ -108,7 +108,7 @@ def render_sample(identity: IdentitySpec, variation_seed: int) -> np.ndarray:
 # -- occluders ---------------------------------------------------------------
 
 def _check_coverage(coverage: float) -> None:
-    if not 1 <= round(coverage * IMAGE_HW) <= IMAGE_HW - 1:
+    if not (np.isfinite(coverage) and 1 <= round(coverage * IMAGE_HW) <= IMAGE_HW - 1):
         raise ValueError(f"coverage {coverage} must occlude between 1 and "
                          f"{IMAGE_HW - 1} of the {IMAGE_HW} rows")
 
@@ -427,6 +427,26 @@ def save_corpus(corpus: Corpus, outdir: str) -> str:
     return manifest_path
 
 
+def _header_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("expected an integer") from None
+
+
+def _header_coverage_range(text: str) -> tuple:
+    try:
+        lo, hi = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError("expected two comma-separated numbers") from None
+    return check_coverage_range(lo, hi)
+
+
+# manifest header field -> parser of its value; other "# ..." lines are comments
+_MANIFEST_FIELDS = {"dataset_seed": _header_int, "samples_per_identity": _header_int,
+                    "coverage_range": _header_coverage_range}
+
+
 def load_corpus(outdir: str) -> Corpus:
     """Read a saved corpus; its rows must be exactly the protocol's, in order."""
     try:
@@ -440,10 +460,12 @@ def load_corpus(outdir: str) -> Corpus:
         for line in lines[1:]:
             if line.startswith("# ") and " = " in line:
                 key, value = line[2:].split(" = ", 1)
-                if key == "coverage_range":
-                    meta[key] = tuple(float(v) for v in value.split(","))
-                else:
-                    meta[key] = int(value)
+                if key in _MANIFEST_FIELDS:
+                    try:
+                        meta[key] = _MANIFEST_FIELDS[key](value)
+                    except ValueError as exc:
+                        raise ValueError(f"{manifest_path}: header field {key} = "
+                                         f"{value!r}: {exc}") from None
             elif line and not line.startswith("#"):
                 rows.append(line)
 

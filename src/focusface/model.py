@@ -4,8 +4,11 @@ A small strided conv stack feeds two parallel fully-connected heads: a
 recognition embedding used for verification and margin-softmax training,
 and a mask embedding feeding a 2-way mask/no-mask classifier.  All forward
 passes run on a Tape so the same code path serves training and inference.
-Checkpoints are a text header (format version, config, layer list) followed
-by the flat little-endian float32 parameter arrays in header order.
+Checkpoints are a text header (format version, seed, config, layer list)
+followed by the flat little-endian float32 parameter arrays in header order.
+Which parameters train is a training run's choice (``TrainConfig``'s
+``freeze_backbone``), not the model's, so the header records no freeze
+mode; the ``frozen = ...`` line earlier versions wrote is ignored on load.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .autodiff import ShapeError, Tape, Tensor
 from .params import ARCFACE, BACKBONE, MASK_CLASSIFIER, MASK_HEAD, RECOGNITION_HEAD
 
 CHECKPOINT_MAGIC = "focusface-checkpoint v1"
-FREEZE_MODES = ("none", "backbone")
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,16 @@ def _init_param(name: str, shape, rng) -> np.ndarray:
 
 
 class ToyModel:
-    """Trainable toy network; parameters are float64 numpy arrays by name.
+    """Toy network; parameters are float64 numpy arrays by name.
 
     The float64 arrays are master weights: training and inference run on
     float32 tapes that cast them as leaves, SGD updates them in float64, and
     checkpoints store them as float32 (see the ``autodiff`` module docstring).
+    The model does not decide which parameters train: a training run's
+    momentum buffers do (``training.init_state``).
     """
 
-    def __init__(self, config: ToyBackboneConfig, params: dict, frozen: str = "none"):
+    def __init__(self, config: ToyBackboneConfig, params: dict):
         self.config = config
         layout = _param_layout(config)
         expected = [name for name, _ in layout]
@@ -157,8 +161,6 @@ class ToyModel:
             if params[name].shape != shape:
                 raise ShapeError(f"{name} has shape {params[name].shape}, expected {shape}")
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-        self.frozen = "none"
-        self.freeze(frozen)
 
     @classmethod
     def init(cls, config: ToyBackboneConfig = ToyBackboneConfig(), seed: int = 0) -> "ToyModel":
@@ -168,33 +170,14 @@ class ToyModel:
             params[name] = _init_param(name, shape, rng)
         return cls(config, params)
 
-    # -- freezing ------------------------------------------------------------
-
-    def freeze(self, frozen: str = "backbone") -> "ToyModel":
-        if frozen not in FREEZE_MODES:
-            raise ValueError(f"frozen must be one of {FREEZE_MODES}, got {frozen!r}")
-        self.frozen = frozen
-        return self
-
-    def is_trainable(self, name: str) -> bool:
-        if self.frozen == "backbone" and name.startswith("conv"):
-            return False
-        return True
-
-    def trainable_names(self):
-        return [n for n in self.params if self.is_trainable(n)]
-
     def total_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def trainable_count(self) -> int:
-        return sum(self.params[n].size for n in self.trainable_names())
-
     # -- forward -------------------------------------------------------------
 
-    def leaves(self, tape: Tape) -> dict:
-        """Materialize every parameter on the tape once per iteration."""
-        return {name: tape.leaf(value, trainable=self.is_trainable(name))
+    def leaves(self, tape: Tape, trainable) -> dict:
+        """Materialize every parameter on the tape; ``trainable`` names the trainable ones."""
+        return {name: tape.leaf(value, trainable=name in trainable)
                 for name, value in self.params.items()}
 
     def forward(self, tape: Tape, images: np.ndarray, leaves: dict | None = None) -> DualHeadOutput:
@@ -277,7 +260,6 @@ def save_checkpoint(model: ToyModel, path: str, seed: int = 0) -> None:
         if field.name == "stages":
             value = ",".join(f"{c}:{s}" for c, s in value)
         lines.append(f"{field.name} = {value}")
-    lines.append(f"frozen = {model.frozen}")
     for name, value in model.params.items():
         dims = " ".join(str(d) for d in value.shape) if value.ndim else "scalar"
         lines.append(f"param {name} {dims}")
@@ -309,6 +291,14 @@ def _parse_stages(text: str) -> tuple:
     return tuple(stages)
 
 
+def _parse_int(name: str, text: str) -> int:
+    """An integer header field, or a ValueError naming it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} field: {text!r} is not an integer") from None
+
+
 def load_checkpoint(path: str) -> tuple[ToyModel, int]:
     """Rebuild the model from a checkpoint; returns (model, recorded seed).
 
@@ -327,18 +317,21 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
         for line in header:
             if line.startswith("param "):
                 _, name, *dims = line.split()
-                shape = () if dims == ["scalar"] else tuple(int(d) for d in dims)
+                shape = () if dims == ["scalar"] else tuple(
+                    _parse_int(f"param {name}", d) for d in dims)
                 order.append((name, shape))
             elif " = " in line:
                 key, value = line.split(" = ", 1)
                 values[key] = value
-        # seed and frozen have defaults; the architecture fields do not
+        # seed has a default and the architecture fields do not; other
+        # lines (older files' "frozen = ...") are ignored
         names = [field.name for field in fields(ToyBackboneConfig)]
         missing = [name for name in names if name not in values]
         if missing:
             raise ValueError(f"header lacks field(s) {', '.join(missing)}")
         config = ToyBackboneConfig(**{
-            name: _parse_stages(values[name]) if name == "stages" else int(values[name])
+            name: _parse_stages(values[name]) if name == "stages"
+            else _parse_int(name, values[name])
             for name in names})
         if order != _param_layout(config):
             raise ValueError("header param lines do not match its architecture fields")
@@ -354,7 +347,6 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
             offset += size * 4
             if not np.isfinite(chunk).all():
                 raise ValueError(f"parameter {name}: {count_entries(~np.isfinite(chunk))}")
-        model = ToyModel(config, params, frozen=values.get("frozen", "none"))
-        return model, int(values.get("seed", 0))
+        return ToyModel(config, params), _parse_int("seed", values.get("seed", "0"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

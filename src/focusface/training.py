@@ -78,9 +78,15 @@ class TrainState:
     best_params: dict | None = None
 
 
-def init_state(model: ToyModel) -> TrainState:
-    velocities = {name: np.zeros_like(model.params[name])
-                  for name in model.trainable_names()}
+def init_state(model: ToyModel, config: TrainConfig) -> TrainState:
+    """Zeroed momentum buffers, one per parameter the run trains.
+
+    The one reader of ``freeze_backbone``: a frozen backbone's ``conv*``
+    parameters get no buffer, so ``train_iteration`` records them as plain
+    leaves and ``sgd_step`` leaves them as they are.
+    """
+    velocities = {name: np.zeros_like(value) for name, value in model.params.items()
+                  if not (config.freeze_backbone and name.startswith("conv"))}
     return TrainState(model=model, velocities=velocities)
 
 
@@ -116,19 +122,14 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
                                   f"{count_entries(bad, 'outside float32 range')}")
 
 
-def _forward_both(model: ToyModel, tape: Tape, batch: PairBatch):
-    leaves = model.leaves(tape)
+def build_losses(model: ToyModel, leaves: dict, batch: PairBatch,
+                 loss_config: LossConfig, baseline: bool = False):
+    """The full loss graph for one batch on the leaves' tape: (loss, named components)."""
+    arc_w = leaves["arcface.weight"]
+    tape = arc_w.tape
     out_u = model.forward(tape, batch.unmasked, leaves=leaves)
     out_m = model.forward(tape, batch.masked, leaves=leaves)
-    return leaves, out_u, out_m
-
-
-def build_losses(model: ToyModel, tape: Tape, batch: PairBatch,
-                 loss_config: LossConfig, baseline: bool = False):
-    """The full loss graph for one batch: (loss, named components, leaves)."""
-    leaves, out_u, out_m = _forward_both(model, tape, batch)
     targets = batch.identity_labels
-    arc_w = leaves["arcface.weight"]
     arc_u = arcface_loss(tape, out_u.recognition_embedding, arc_w, targets,
                          loss_config.s, loss_config.m)
     arc_m = arcface_loss(tape, out_m.recognition_embedding, arc_w, targets,
@@ -137,7 +138,7 @@ def build_losses(model: ToyModel, tape: Tape, batch: PairBatch,
         comb = tape.scale(tape.add(arc_m, arc_u), loss_config.beta)
         components = {"arc_u": arc_u.item(), "arc_m": arc_m.item(),
                       "ce_u": 0.0, "ce_m": 0.0, "mse": 0.0}
-        return comb, components, leaves
+        return comb, components
     ce_u = cross_entropy(tape, out_u.mask_logits, batch.mask_labels_unmasked)
     ce_m = cross_entropy(tape, out_m.mask_logits, batch.mask_labels_masked)
     l_u = branch_loss(tape, arc_u, ce_u, loss_config.lambda_)
@@ -149,18 +150,20 @@ def build_losses(model: ToyModel, tape: Tape, batch: PairBatch,
                          loss_config.beta, loss_config.comb_mode)
     components = {"arc_u": arc_u.item(), "arc_m": arc_m.item(),
                   "ce_u": ce_u.item(), "ce_m": ce_m.item(), "mse": mse.item()}
-    return comb, components, leaves
+    return comb, components
 
 
 def train_iteration(state: TrainState, batch: PairBatch,
                     config: TrainConfig) -> dict:
     """One dual forward and backward on a float32 tape, one float64 SGD step.
 
-    Returns the loss breakdown.
+    The state's momentum buffers name the parameters that train.  Returns
+    the loss breakdown.
     """
     tape = Tape(np.float32)
-    comb, components, leaves = build_losses(state.model, tape, batch, config.loss,
-                                            baseline=config.baseline)
+    leaves = state.model.leaves(tape, state.velocities)
+    comb, components = build_losses(state.model, leaves, batch, config.loss,
+                                    baseline=config.baseline)
     grads = tape.backward(comb)
     named_grads = {name: grads[t.node_id] for name, t in leaves.items()
                    if t.node_id in grads}
@@ -206,9 +209,7 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     if model is None:
         model = ToyModel.init(
             ToyBackboneConfig(num_classes=corpus.num_classes), seed=config.seed)
-    # both ways: a checkpoint restores the mode it was trained in
-    model.freeze("backbone" if config.freeze_backbone else "none")
-    state = init_state(model)
+    state = init_state(model, config)
     log = []
     evaluable = corpus.val.num_identities >= 2
     for it in range(config.max_iterations):
@@ -232,8 +233,7 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
 
 def best_model(state: TrainState) -> ToyModel:
     return ToyModel(state.model.config,
-                    {k: v.copy() for k, v in state.best_params.items()},
-                    frozen=state.model.frozen)
+                    {k: v.copy() for k, v in state.best_params.items()})
 
 
 def parse_log_mse(log_lines) -> np.ndarray:

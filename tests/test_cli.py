@@ -26,7 +26,7 @@ from focusface.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from focusface.training import TrainConfig
+from focusface.training import TrainConfig, init_state
 
 
 def run_cli(*argv):
@@ -57,6 +57,22 @@ def test_run_config_declares_no_library_field():
     library = {f.name for f in dataclasses.fields(LossConfig)}
     library |= {f.name for f in dataclasses.fields(TrainConfig)}
     assert not own & library
+
+
+FLOAT_KEYS = [("lambda" if attr == "lambda_" else attr)
+              for attr, value in parse_config_text(format_config(RunConfig())).items()
+              if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_floats(bad):
+    assert {"lr", "momentum", "weight_decay", "s", "m", "alpha", "beta", "lambda",
+            "coverage_lo", "coverage_hi"} == set(FLOAT_KEYS)
+    for key in FLOAT_KEYS:
+        with pytest.raises(ConfigError, match=f"key '{key}'.*must be finite"):
+            parse_overrides([f"{key}={bad}"])
+        with pytest.raises(ConfigError, match=f"key '{key}'.*must be finite"):
+            parse_config_text(f"{key} = {bad}\n")
 
 
 def test_config_is_frozen_and_hashable():
@@ -164,7 +180,9 @@ def test_train_prints_live_trainable_count(corpus_dir, tmp_path, capsys):
                    "--set", "eval_interval=5") == 0
     text = capsys.readouterr().out
     model, _ = load_checkpoint(os.path.join(out, "final.ckpt"))
-    want = f"{model.trainable_count():,} of {model.total_count():,}"
+    config = load_config(os.path.join(out, "config.txt"))
+    trainable = init_state(model, config.train).velocities
+    want = f"{sum(model.params[n].size for n in trainable):,} of {model.total_count():,}"
     assert want in text
 
 
@@ -206,8 +224,9 @@ def test_train_frozen_backbone_is_bit_identical(corpus_dir, run_dir, tmp_path):
                    "--seed", "4", *FAST) == 0
     start, _ = load_checkpoint(init)
     finish, _ = load_checkpoint(os.path.join(out, "final.ckpt"))
-    assert finish.frozen == "backbone"
-    frozen = set(finish.params) - set(finish.trainable_names())
+    config = load_config(os.path.join(out, "config.txt"))
+    assert config.train.freeze_backbone
+    frozen = set(finish.params) - set(init_state(finish, config.train).velocities)
     moved = set(finish.params) - frozen
     assert frozen and moved
     for name in frozen:
@@ -218,22 +237,26 @@ def test_train_frozen_backbone_is_bit_identical(corpus_dir, run_dir, tmp_path):
 
 def test_train_from_frozen_checkpoint_trains_backbone(corpus_dir, run_dir,
                                                       tmp_path, capsys):
-    # the checkpoint records frozen = backbone; without --freeze-backbone
-    # the continued run trains every parameter
+    # earlier versions recorded "frozen = backbone" in a frozen run's
+    # checkpoints; without --freeze-backbone the continued run trains
+    # every parameter, and its checkpoints record no freeze mode
     short = ["--set", "max_iterations=3", "--set", "milestones=2",
              "--set", "eval_interval=5"]
     frozen_dir = tmp_path / "frozen"
     assert run_cli("train", "--data", corpus_dir, "--out", str(frozen_dir),
                    "--freeze-backbone", "--init-checkpoint",
                    os.path.join(run_dir, "final.ckpt"), *short) == 0
-    init = str(frozen_dir / "final.ckpt")
+    init = frozen_dir / "older.ckpt"
+    raw = (frozen_dir / "final.ckpt").read_bytes()
+    init.write_bytes(raw.replace(b"\nparam ", b"\nfrozen = backbone\nparam ", 1))
     out = tmp_path / "thawed"
     capsys.readouterr()
     assert run_cli("train", "--data", corpus_dir, "--out", str(out),
-                   "--init-checkpoint", init, *short) == 0
-    start, _ = load_checkpoint(init)
+                   "--init-checkpoint", str(init), *short) == 0
+    start, _ = load_checkpoint(str(init))
     finish, _ = load_checkpoint(str(out / "final.ckpt"))
-    assert start.frozen == "backbone" and finish.frozen == "none"
+    assert b"\nfrozen = backbone\n" in init.read_bytes()
+    assert b"frozen" not in (out / "final.ckpt").read_bytes().split(b"end-header")[0]
     total = f"{finish.total_count():,}"
     assert f"trainable parameters: {total} of {total}" in capsys.readouterr().out
     for name in (n for n in finish.params if n.startswith("conv")):
@@ -390,6 +413,28 @@ def tampered_corpus_dir(tmp_path_factory, corpus_dir):
     return str(out)
 
 
+# manifest header line -> its replacement, one corpus copy each
+HEADER_EDITS = {
+    "seed-zero": ("# dataset_seed = 7", "# dataset_seed = zero"),
+    "coverage-one-value": ("# coverage_range = 0.4,0.55", "# coverage_range = 0.45"),
+    "coverage-unordered": ("# coverage_range = 0.4,0.55", "# coverage_range = 0.9,0.1"),
+}
+
+
+@pytest.fixture(scope="module")
+def header_edited_dirs(tmp_path_factory, corpus_dir):
+    dirs = {}
+    for name, (line, edited) in HEADER_EDITS.items():
+        out = tmp_path_factory.mktemp(name) / "corpus"
+        shutil.copytree(corpus_dir, out)
+        manifest = out / "manifest.tsv"
+        text = manifest.read_text()
+        assert line + "\n" in text
+        manifest.write_text(text.replace(line + "\n", edited + "\n"))
+        dirs[name] = str(out)
+    return dirs
+
+
 # each case: argv from the paths at hand, and a text the error line names
 BAD_INPUTS = {
     "gen-data-one-identity": lambda p: (
@@ -407,6 +452,18 @@ BAD_INPUTS = {
         "needs at least 2 training identities, the corpus has 1"),
     "train-tampered-manifest": lambda p: (
         ["train", "--data", p["tampered"], "--out", p["new"], *FAST], "manifest.tsv"),
+    "train-manifest-seed-not-integer": lambda p: (
+        ["train", "--data", p["seed-zero"], "--out", p["new"], *FAST],
+        "manifest.tsv: header field dataset_seed"),
+    "train-manifest-coverage-one-value": lambda p: (
+        ["train", "--data", p["coverage-one-value"], "--out", p["new"], *FAST],
+        "manifest.tsv: header field coverage_range"),
+    "train-manifest-coverage-unordered": lambda p: (
+        ["train", "--data", p["coverage-unordered"], "--out", p["new"], *FAST],
+        "manifest.tsv: header field coverage_range"),
+    "train-lr-nan": lambda p: (
+        ["train", "--data", p["corpus"], "--out", p["new"], "--set", "lr=nan"],
+        "key 'lr'"),
     "train-out-is-file": lambda p: (
         ["train", "--data", p["corpus"], "--out", p["file"], *FAST], p["file"]),
     "eval-out-is-file": lambda p: (
@@ -423,7 +480,8 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_is_one_line_error(corpus_dir, run_dir, one_train_identity_dir,
-                                     tampered_corpus_dir, tmp_path, capsys, case):
+                                     tampered_corpus_dir, header_edited_dirs, tmp_path,
+                                     capsys, case):
     file_path = tmp_path / "file"
     file_path.write_text("")
     wide = str(tmp_path / "wide.ckpt")
@@ -431,7 +489,7 @@ def test_bad_input_is_one_line_error(corpus_dir, run_dir, one_train_identity_dir
     paths = {"corpus": corpus_dir, "tiny": one_train_identity_dir,
              "tampered": tampered_corpus_dir,
              "ckpt": os.path.join(run_dir, "best.ckpt"), "wide": wide,
-             "file": str(file_path), "new": str(tmp_path / "new")}
+             "file": str(file_path), "new": str(tmp_path / "new"), **header_edited_dirs}
     argv, named = BAD_INPUTS[case](paths)
     capsys.readouterr()
     assert run_cli(*argv) == 2

@@ -230,9 +230,9 @@ def test_mse_on_normalized_training_step_is_bounded():
     bound = 4.0 / model.config.recognition_dim
     mse = {}
     for normalize in (True, False):
-        state = init_state(copy.deepcopy(model))
-        mse[normalize] = train_iteration(state, batch, TrainConfig(
-            batch_size=8, loss=LossConfig(mse_on_normalized=normalize)))["mse"]
+        config = TrainConfig(batch_size=8, loss=LossConfig(mse_on_normalized=normalize))
+        state = init_state(copy.deepcopy(model), config)
+        mse[normalize] = train_iteration(state, batch, config)["mse"]
     assert np.isfinite(mse[True]) and 0.0 <= mse[True] <= bound
     assert mse[False] > bound
 

@@ -1,4 +1,4 @@
-"""Forward-pass behavior, freezing, parameter accounting, checkpoint io."""
+"""Forward-pass behavior, parameter accounting, checkpoint io."""
 
 import re
 
@@ -15,10 +15,17 @@ from focusface.model import (
     toy_scale_modules,
 )
 from focusface.params import BACKBONE, summarize
+from focusface.training import TrainConfig, init_state
 
 
 def small_batch(rng, n=3):
     return rng.uniform(-1.0, 1.0, size=(n, 1, 32, 32))
+
+
+def frozen_trainable(model):
+    """Names and size of what a frozen-backbone run of ``model`` trains."""
+    names = init_state(model, TrainConfig(freeze_backbone=True)).velocities
+    return names, sum(model.params[n].size for n in names)
 
 
 def test_forward_output_shapes():
@@ -85,8 +92,7 @@ def test_live_counts_match_descriptor_table():
     model = ToyModel.init(config, seed=0)
     summary = summarize(toy_scale_modules(config))
     assert model.total_count() == summary.scratch_total
-    model.freeze("backbone")
-    assert model.trainable_count() == summary.frozen_trainable
+    assert frozen_trainable(model)[1] == summary.frozen_trainable
 
 
 def test_nondefault_config_counts_match():
@@ -98,26 +104,19 @@ def test_nondefault_config_counts_match():
     assert model.total_count() == summary.scratch_total
     conv = sum(p.size for n, p in model.params.items() if n.startswith("conv"))
     assert counts[BACKBONE] == conv == (4 * 3 * 9 + 4 + 1) + (12 * 4 * 9 + 12 + 1)
-    model.freeze("backbone")
-    assert model.trainable_count() == summary.frozen_trainable
+    assert frozen_trainable(model)[1] == summary.frozen_trainable
 
 
 def test_frozen_backbone_gradients_absent():
-    model = ToyModel.init(seed=5).freeze("backbone")
+    model = ToyModel.init(seed=5)
     tape = Tape()
-    leaves = model.leaves(tape)
+    leaves = model.leaves(tape, frozen_trainable(model)[0])
     out = model.forward(tape, small_batch(np.random.default_rng(3)), leaves=leaves)
     grads = tape.backward(tape.sum(out.recognition_embedding))
     assert leaves["recognition.weight"].node_id in grads
     for name in model.params:
         if name.startswith("conv"):
             assert leaves[name].node_id not in grads
-
-
-def test_freeze_mode_validation():
-    model = ToyModel.init(seed=0)
-    with pytest.raises(ValueError, match="frozen"):
-        model.freeze("heads")
 
 
 def test_normalized_recognition_embedding_unit_norm():
@@ -151,13 +150,12 @@ def test_embed_images_thread_count_irrelevant():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    model = ToyModel.init(seed=8).freeze("backbone")
+    model = ToyModel.init(seed=8)
     first = tmp_path / "a.ckpt"
     second = tmp_path / "b.ckpt"
     save_checkpoint(model, str(first), seed=8)
     loaded, seed = load_checkpoint(str(first))
     assert seed == 8
-    assert loaded.frozen == "backbone"
     assert loaded.config == model.config
     # float32 narrowing happens exactly once: re-saving reproduces the bytes
     save_checkpoint(loaded, str(second), seed=8)
@@ -182,7 +180,6 @@ def test_checkpoint_header_is_pinned(tmp_path):
         b"recognition_dim = 64\n"
         b"mask_dim = 8\n"
         b"num_classes = 20\n"
-        b"frozen = none\n"
         b"param conv0.weight 8 1 3 3\n"
         b"param conv0.bias 8 1 1\n"
         b"param conv0.slope scalar\n"
@@ -200,6 +197,22 @@ def test_checkpoint_header_is_pinned(tmp_path):
         b"param mask_classifier.bias 2\n"
         b"param arcface.weight 64 20\n"
         b"end-header\n")
+
+
+def test_checkpoint_with_older_frozen_line_loads(tmp_path):
+    # earlier versions wrote "frozen = none|backbone" after the architecture
+    # fields; such a file loads to the same config and parameters
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(ToyModel.init(seed=8), str(path), seed=8)
+    raw = path.read_bytes()
+    older = tmp_path / "older.ckpt"
+    older.write_bytes(raw.replace(b"num_classes = 20\n",
+                                  b"num_classes = 20\nfrozen = backbone\n"))
+    want, want_seed = load_checkpoint(str(path))
+    got, got_seed = load_checkpoint(str(older))
+    assert got.config == want.config and got_seed == want_seed == 8
+    for name, value in want.params.items():
+        assert got.params[name].tobytes() == value.tobytes(), name
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -232,7 +245,11 @@ def test_checkpoint_missing_header_field_named(tmp_path):
     (b"stages = 8:2,16:2,32:2", b"stages = 8:2,16", "stages field: '16' is not a channels:stride"),
     (b"stages = 8:2,16:2,32:2", b"stages = 8:0,16:2,32:2", "stages field: '8:0' is not"),
     (b"param conv0.weight 8 1 3 3", b"param conv0.weight -8 1 3 3", ""),
-], ids=["stages", "zero-stride", "negative-dimension"])
+    (b"seed = 9", b"seed = one", "seed field: 'one' is not an integer"),
+    (b"mask_dim = 8", b"mask_dim = 8.0", "mask_dim field: '8.0' is not an integer"),
+    (b"param conv0.bias 8 1 1", b"param conv0.bias 8 1 x",
+     "param conv0.bias field: 'x' is not an integer"),
+], ids=["stages", "zero-stride", "negative-dimension", "seed", "mask_dim", "param-dimension"])
 def test_checkpoint_malformed_header_named(tmp_path, line, edited, named):
     path = tmp_path / "m.ckpt"
     save_checkpoint(ToyModel.init(seed=9), str(path), seed=9)

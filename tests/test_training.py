@@ -131,9 +131,9 @@ def test_baseline_iteration_ignores_aux_loss_weights(corpus):
     batch = small_batch(corpus)
     runs = []
     for loss in (LossConfig(lambda_=0.7, alpha=2.0), LossConfig()):
-        state = init_state(tiny_model(seed=3, num_classes=corpus.num_classes))
-        breakdown = train_iteration(state, batch, TrainConfig(
-            batch_size=8, baseline=True, loss=loss))
+        config = TrainConfig(batch_size=8, baseline=True, loss=loss)
+        state = init_state(tiny_model(seed=3, num_classes=corpus.num_classes), config)
+        breakdown = train_iteration(state, batch, config)
         runs.append((state.model.params, breakdown))
     (params_a, breakdown_a), (params_b, breakdown_b) = runs
     assert breakdown_a == breakdown_b
@@ -149,10 +149,10 @@ def test_baseline_path_matches_zeroed_full_path(corpus):
     results = []
     for baseline in (False, True):
         model = tiny_model(seed=3, num_classes=corpus.num_classes)
-        state = init_state(model)
+        state = init_state(model, TrainConfig())
         tape = Tape()
-        comb, _, leaves = build_losses(model, tape, batch, zeroed,
-                                       baseline=baseline)
+        leaves = model.leaves(tape, state.velocities)
+        comb, _ = build_losses(model, leaves, batch, zeroed, baseline=baseline)
         grads = tape.backward(comb)
         named = {n: grads[t.node_id] for n, t in leaves.items()
                  if t.node_id in grads}
@@ -167,7 +167,7 @@ def test_breakdown_recombines_to_combined_value(corpus):
     batch = small_batch(corpus)
     config = TrainConfig(batch_size=8)
     model = tiny_model(seed=1, num_classes=corpus.num_classes)
-    state = init_state(model)
+    state = init_state(model, config)
     b = train_iteration(state, batch, config)
     lc = config.loss
     # float32 arithmetic in the tape's order: each branch, their scaled sum,
@@ -187,7 +187,8 @@ def test_combined_backward_equals_summed_branch_backwards(corpus):
     model = tiny_model(seed=5, num_classes=corpus.num_classes)
 
     tape = Tape()
-    comb, _, leaves = build_losses(model, tape, batch, lc)
+    leaves = model.leaves(tape, model.params)
+    comb, _ = build_losses(model, leaves, batch, lc)
     grads = tape.backward(comb)
     combined = {n: grads[t.node_id] for n, t in leaves.items()
                 if t.node_id in grads}
@@ -197,7 +198,7 @@ def test_combined_backward_equals_summed_branch_backwards(corpus):
 
     def branch_grads(scale_mse, scale_branches):
         tape = Tape()
-        leaves = model.leaves(tape)
+        leaves = model.leaves(tape, model.params)
         out_u = model.forward(tape, batch.unmasked, leaves=leaves)
         out_m = model.forward(tape, batch.masked, leaves=leaves)
         arc_w = leaves["arcface.weight"]
@@ -251,11 +252,12 @@ def test_frozen_step_runs_no_backbone_backward_rule(corpus, monkeypatch):
     batch = small_batch(corpus)
     calls = _count_backward_rules(monkeypatch)
     model = tiny_model(seed=3, num_classes=corpus.num_classes)
-    train_iteration(init_state(copy.deepcopy(model)), batch, TrainConfig(batch_size=8))
+    config = TrainConfig(batch_size=8)
+    train_iteration(init_state(copy.deepcopy(model), config), batch, config)
     assert calls["conv2d"] == 6 and calls["prelu"] == 6  # 3 stages, 2 forwards
     calls.clear()
-    train_iteration(init_state(copy.deepcopy(model).freeze("backbone")), batch,
-                    TrainConfig(batch_size=8, freeze_backbone=True))
+    config = TrainConfig(batch_size=8, freeze_backbone=True)
+    train_iteration(init_state(copy.deepcopy(model), config), batch, config)
     assert "conv2d" not in calls and "prelu" not in calls
     assert calls["matmul"] > 0
 
@@ -278,7 +280,7 @@ def test_train_iteration_tape_is_left_to_the_cyclic_collector(corpus, monkeypatc
             tapes.append(weakref.ref(self))
 
     monkeypatch.setattr(training, "Tape", RecordedTape)
-    state = init_state(tiny_model(seed=3, num_classes=corpus.num_classes))
+    state = init_state(tiny_model(seed=3, num_classes=corpus.num_classes), TrainConfig())
     gc.collect()
     gc.disable()
     try:
@@ -288,6 +290,17 @@ def test_train_iteration_tape_is_left_to_the_cyclic_collector(corpus, monkeypatc
         gc.enable()
     gc.collect()
     assert tapes[0]() is None
+
+
+def test_frozen_state_trains_heads_only(corpus):
+    # a frozen backbone gets no momentum buffer, so it stays bit-identical
+    model = tiny_model(seed=3, num_classes=corpus.num_classes)
+    before = {k: v.copy() for k, v in model.params.items()}
+    config = TrainConfig(batch_size=8, freeze_backbone=True)
+    train_iteration(init_state(model, config), small_batch(corpus), config)
+    for name, value in before.items():
+        same = model.params[name].tobytes() == value.tobytes()
+        assert same == name.startswith("conv"), name
 
 
 def test_tape_node_counts_and_inference_leaves(corpus, monkeypatch):
@@ -307,8 +320,8 @@ def test_tape_node_counts_and_inference_leaves(corpus, monkeypatch):
     model = tiny_model(seed=3, num_classes=corpus.num_classes)
     batch = small_batch(corpus)
     for baseline, nodes in ((False, 72), (True, 60)):
-        train_iteration(init_state(copy.deepcopy(model)), batch,
-                        TrainConfig(batch_size=8, baseline=baseline))
+        config = TrainConfig(batch_size=8, baseline=baseline)
+        train_iteration(init_state(copy.deepcopy(model), config), batch, config)
         assert len(tapes[-1].nodes) == nodes
     tapes.clear()
     embed_images(model, batch.unmasked)
@@ -321,10 +334,11 @@ def test_frozen_head_gradients_equal_unfrozen_bit_for_bit(corpus):
     batch = small_batch(corpus)
     model = tiny_model(seed=4, num_classes=corpus.num_classes)
     results = []
-    for frozen in ("none", "backbone"):
+    for freeze_backbone in (False, True):
+        trainable = init_state(model, TrainConfig(freeze_backbone=freeze_backbone)).velocities
         tape = Tape()
-        comb, _, leaves = build_losses(copy.deepcopy(model).freeze(frozen), tape, batch,
-                                       LossConfig())
+        leaves = model.leaves(tape, trainable)
+        comb, _ = build_losses(model, leaves, batch, LossConfig())
         grads = tape.backward(comb)
         results.append({name: grads[t.node_id] for name, t in leaves.items()
                         if t.node_id in grads})
@@ -378,7 +392,7 @@ def test_fit_frozen_backbone_bit_identical(corpus):
     before = {k: v.copy() for k, v in model.params.items()
               if k.startswith("conv")}
     state, _ = fit(short_config(freeze_backbone=True), corpus, model=model)
-    assert set(state.velocities) == set(model.trainable_names())
+    assert set(state.velocities) == {n for n in model.params if not n.startswith("conv")}
     for name, value in before.items():
         assert np.array_equal(state.model.params[name], value)
     assert not np.array_equal(state.model.params["recognition.weight"],
@@ -386,13 +400,14 @@ def test_fit_frozen_backbone_bit_identical(corpus):
 
 
 def test_fit_trains_backbone_of_a_frozen_model(corpus):
-    # fit sets the mode from the config both ways: a model restored frozen
-    # trains every parameter unless freeze_backbone asks otherwise
-    model = tiny_model(seed=9, num_classes=corpus.num_classes).freeze("backbone")
+    # the model carries no freeze mode: a model a frozen-backbone fit
+    # trained trains every parameter unless freeze_backbone asks otherwise
+    model = tiny_model(seed=9, num_classes=corpus.num_classes)
+    model = fit(short_config(max_iterations=3, freeze_backbone=True), corpus,
+                model=model)[0].model
     before = {k: v.copy() for k, v in model.params.items()}
     state, _ = fit(short_config(max_iterations=3), corpus, model=model)
-    assert state.model.frozen == "none"
-    assert state.model.trainable_count() == state.model.total_count()
+    assert sum(v.size for v in state.velocities.values()) == state.model.total_count()
     assert set(state.velocities) == set(before)
     for name, value in before.items():
         assert not np.array_equal(state.model.params[name], value), name
