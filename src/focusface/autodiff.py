@@ -17,6 +17,14 @@ node that array serves needs a gradient, and it drops the array once it
 has run.  So a tape's backward runs once, and a tape that takes no
 gradient, as at inference, keeps nothing beyond its values.
 
+One rule sets a tape's lifetime.  A node stores its backward rule only
+when it needs a gradient.  A stored rule holds its input Tensors and each
+Tensor holds its tape, so a training tape is a reference cycle that lives
+until the cyclic collector runs; that is kept on purpose (README, "Design
+notes").  A tape with no trainable leaf, as at inference and in the
+evaluations of a gradient check, stores no rule, so reference counting
+frees it and its activations as soon as the caller drops its outputs.
+
 One dtype policy holds across the package.  Training and inference build
 float32 tapes, because the conv GEMMs and im2col copies that dominate a
 training step run faster in float32.  Gradient checks build float64
@@ -70,7 +78,8 @@ class _Node:
     """One recorded operation: which inputs fed it and how to push gradients back.
 
     ``needs_grad`` is true for a trainable leaf and for every node that one
-    feeds; only those nodes take a gradient in ``Tape.backward``.
+    feeds; only those nodes take a gradient in ``Tape.backward``, and only
+    they store a ``backward_fn``.
     """
 
     __slots__ = ("kind", "input_ids", "backward_fn", "needs_grad")
@@ -138,6 +147,11 @@ class Tape:
     when that input's ``needs_grad`` is false.  Rules write into nothing.
     A rule keeps a forward array only for an input that needs a gradient
     and drops it after it runs, so ``backward`` runs once per tape.
+
+    Only a node that needs a gradient stores its rule.  A tape without a
+    trainable leaf therefore holds no closure and dies with its last
+    output Tensor; a tape that takes a gradient is a cycle through its
+    rules and waits for the cyclic collector.
     """
 
     def __init__(self, dtype=np.float64):
@@ -161,7 +175,8 @@ class Tape:
     def _record(self, kind, input_ids, backward_fn, value: np.ndarray) -> Tensor:
         node_id = len(self.nodes)
         needs_grad = any(self.nodes[i].needs_grad for i in input_ids)
-        self.nodes.append(_Node(kind, input_ids, backward_fn, needs_grad))
+        self.nodes.append(_Node(kind, input_ids, backward_fn if needs_grad else None,
+                                needs_grad))
         return Tensor(value, self, node_id)
 
     def _out(self, kind, inputs, backward_fn, value: np.ndarray) -> Tensor:
@@ -414,7 +429,7 @@ class Tape:
         grads[loss.node_id] = np.ones_like(loss.data)
         for node_id in range(loss.node_id, -1, -1):
             node, g = self.nodes[node_id], grads[node_id]
-            if g is None or not node.needs_grad or node.backward_fn is None:
+            if g is None or node.backward_fn is None:
                 continue
             for i, c in zip(node.input_ids, node.backward_fn(g)):
                 if c is None:

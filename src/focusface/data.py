@@ -434,6 +434,13 @@ def _header_int(text: str) -> int:
         raise ValueError("expected an integer") from None
 
 
+def _header_positive_int(text: str) -> int:
+    value = _header_int(text)
+    if value < 1:
+        raise ValueError("expected a positive integer")
+    return value
+
+
 def _header_coverage_range(text: str) -> tuple:
     try:
         lo, hi = (float(v) for v in text.split(","))
@@ -443,7 +450,8 @@ def _header_coverage_range(text: str) -> tuple:
 
 
 # manifest header field -> parser of its value; other "# ..." lines are comments
-_MANIFEST_FIELDS = {"dataset_seed": _header_int, "samples_per_identity": _header_int,
+_MANIFEST_FIELDS = {"dataset_seed": _header_int,
+                    "samples_per_identity": _header_positive_int,
                     "coverage_range": _header_coverage_range}
 
 

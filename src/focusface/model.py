@@ -187,7 +187,8 @@ class ToyModel:
             raise ShapeError(
                 f"expected images of shape (batch, {c}, {hw}, {hw}), got {images.shape}")
         if leaves is None:
-            # inference: plain leaves take no gradient, so no rule keeps an array
+            # inference: plain leaves take no gradient, so no node stores a
+            # rule and the tape is freed with the outputs
             leaves = {name: tape.leaf(value) for name, value in self.params.items()}
         x = tape.leaf(images)
         for i, (_, stride) in enumerate(self.config.stages):

@@ -186,6 +186,28 @@ def test_backward_runs_once_per_tape():
         tape.backward(loss)
 
 
+def test_rules_are_kept_only_on_nodes_that_take_a_gradient():
+    # the input-only branch stores no rule; the gradient is the one the rules
+    # compute in order: sum gives ones, mul gives ones * y twice, summed, and
+    # matmul gives h.T @ that
+    rng = np.random.default_rng(41)
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(2, 3)))
+    w = tape.leaf(rng.normal(size=(3, 4)), trainable=True)
+    scaled = tape.scale(x, 2.0)
+    h = tape.l2_normalize(scaled)
+    y = tape.matmul(h, w)
+    loss = tape.sum(tape.mul(y, y))
+    for t in (x, scaled, h):
+        assert tape.nodes[t.node_id].backward_fn is None and not t.needs_grad
+    for t in (y, loss):
+        assert tape.nodes[t.node_id].backward_fn is not None and t.needs_grad
+    grads = tape.backward(loss)
+    ones = np.ones_like(loss.data)
+    expected = h.data.T @ (ones * y.data + ones * y.data)
+    assert grads[w.node_id].tobytes() == expected.tobytes()
+
+
 def test_prelu_matches_where_formula_bit_for_bit():
     # the reference is the np.where rule: where(x > 0, x, a * x) forward,
     # g * where(x > 0, 1, a) and sum(g * where(x > 0, 0, x)) backward;

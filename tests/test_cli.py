@@ -418,6 +418,7 @@ HEADER_EDITS = {
     "seed-zero": ("# dataset_seed = 7", "# dataset_seed = zero"),
     "coverage-one-value": ("# coverage_range = 0.4,0.55", "# coverage_range = 0.45"),
     "coverage-unordered": ("# coverage_range = 0.4,0.55", "# coverage_range = 0.9,0.1"),
+    "samples-zero": ("# samples_per_identity = 8", "# samples_per_identity = 0"),
 }
 
 
@@ -461,6 +462,9 @@ BAD_INPUTS = {
     "train-manifest-coverage-unordered": lambda p: (
         ["train", "--data", p["coverage-unordered"], "--out", p["new"], *FAST],
         "manifest.tsv: header field coverage_range"),
+    "train-manifest-samples-zero": lambda p: (
+        ["train", "--data", p["samples-zero"], "--out", p["new"], *FAST],
+        "manifest.tsv: header field samples_per_identity = '0': expected a positive integer"),
     "train-lr-nan": lambda p: (
         ["train", "--data", p["corpus"], "--out", p["new"], "--set", "lr=nan"],
         "key 'lr'"),

@@ -1,10 +1,13 @@
 """Forward-pass behavior, parameter accounting, checkpoint io."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from focusface import model as model_module
 from focusface.autodiff import ShapeError, Tape
 from focusface.model import (
     ToyBackboneConfig,
@@ -147,6 +150,45 @@ def test_embed_images_thread_count_irrelevant():
     norms = np.linalg.norm(emb1, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-9
     assert np.all((prob1 > 0) & (prob1 < 1))
+
+
+def test_inference_tape_dies_with_its_outputs():
+    # no node of an inference tape stores a rule, so nothing closes a cycle
+    # back to the tape: reference counting frees it with its last output
+    model = ToyModel.init(seed=0)
+    gc.collect()
+    gc.disable()
+    try:
+        tape = Tape(np.float32)
+        alive = weakref.ref(tape)
+        out = model.forward(tape, small_batch(np.random.default_rng(2)))
+        del tape
+        assert alive() is not None
+        del out
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_embed_images_leaves_no_tape_alive(monkeypatch):
+    tapes = []
+
+    class RecordedTape(Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(model_module, "Tape", RecordedTape)
+    model = ToyModel.init(seed=7)
+    images = small_batch(np.random.default_rng(5), n=9)
+    gc.collect()
+    gc.disable()
+    try:
+        embed_images(model, images, batch_size=4)
+        assert len(tapes) == 3
+        assert all(alive() is None for alive in tapes)
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -265,13 +265,26 @@ def test_frozen_step_runs_no_backbone_backward_rule(corpus, monkeypatch):
 def test_train_iteration_tape_is_left_to_the_cyclic_collector(corpus, monkeypatch):
     # Backward rules capture their input Tensors and a Tensor holds its Tape,
     # so a step's tape is a reference cycle that outlives train_iteration
-    # until the cyclic collector runs.  Both ways out cost more, measured on
+    # until the cyclic collector runs.  Each way out costs more, measured on
     # 2 cores with BLAS on one thread: a tape freed at return made a step
     # 19-22 ms against about 16 ms, with 2.4-2.9k minor faults per step
     # against 0, as glibc trimmed the freed heap every step; rules that
     # capture no Tensors left fewer collector-tracked objects per tape, so
-    # the collector ran less often and train peak RSS rose 5.7 %.  ROADMAP
-    # D7 step 3 is where this is meant to flip.
+    # the collector ran less often and train peak RSS rose 5.7 %.  A third
+    # way, a backward that drops each rule after it runs, cut the benchmark's
+    # train peak_rss_mb from 145.5 to 93.3 MB and its op_ms_p50 by 6 %, but
+    # a fresh-process CLI train slowed from 3.13-3.28 s to 3.84-4.13 s, with
+    # minor faults rising from 45k to 1.39-1.43M, and the acceptance gate
+    # from 22.9 to 27.0 s; pooled im2col buffers on top cut the faults only
+    # to 1.17M and the run stayed 8-12 % slower.  glibc trims the heap top
+    # every step; the benchmark's set-up frees whole corpora, which raises
+    # glibc's dynamic mmap threshold, and a CLI process never does that.
+    # Re-checked in 6 alternating runs at OpenBLAS's default thread count,
+    # that variant's CLI train took a median 4.15 s against 3.30 s (1.01M
+    # minor faults against 43k); with BLAS on one thread it matched the
+    # parent (3.55 s against 3.58 s, 9 runs) at half the max RSS, 59 MB
+    # against 116 MB.  Tapes that take no gradient store no rules and are
+    # freed at return.
     tapes = []
 
     class RecordedTape(Tape):
@@ -307,7 +320,7 @@ def test_tape_node_counts_and_inference_leaves(corpus, monkeypatch):
     # a training tape: 16 parameter leaves, then per forward an image leaf,
     # three conv2d + prelu stages and 9 head nodes, then the losses; an
     # inference tape records the parameters as plain leaves, so no node on
-    # it takes a gradient and no rule keeps an array
+    # it takes a gradient or stores a rule, and no rule keeps an array
     tapes = []
 
     class RecordedTape(Tape):
@@ -328,6 +341,7 @@ def test_tape_node_counts_and_inference_leaves(corpus, monkeypatch):
     assert len(tapes) == 1
     assert tapes[0].parameters == {}
     assert not any(node.needs_grad for node in tapes[0].nodes)
+    assert all(node.backward_fn is None for node in tapes[0].nodes)
 
 
 def test_frozen_head_gradients_equal_unfrozen_bit_for_bit(corpus):
