@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+NORM_FLOOR = 1e-12  # l2_normalize rejects a vector whose norm is at most this
+
 
 class ShapeError(ValueError):
     """Raised when an op receives incompatibly shaped inputs."""
@@ -313,12 +315,12 @@ class Tape:
 
         return self._out("prelu", (x, slope), backward, value)
 
-    def l2_normalize(self, x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    def l2_normalize(self, x: Tensor, axis: int = -1) -> Tensor:
         """Divide by the euclidean norm along ``axis`` (rows by default)."""
         self._check(x)
         norm = np.sqrt(np.sum(x.data**2, axis=axis, keepdims=True))
-        if np.any(norm <= eps):
-            raise ValueError(f"l2_normalize: vector norm below {eps}")
+        if np.any(norm <= NORM_FLOOR):
+            raise ValueError(f"l2_normalize: vector norm below {NORM_FLOOR}")
         y = x.data / norm
 
         def backward(g):

@@ -3,7 +3,9 @@
 Each entry draws seeded random probe points, nudges them away from
 non-smooth regions (prelu kinks, the margin fallback boundary, saturated
 cosines), and compares tape gradients against central finite differences.
-The same registry backs the ``gradcheck`` CLI command and the test suite.
+Every check runs POINTS points at step H against the TOLERANCE gate; only
+the seed varies.  The one registry, ``ALL_CHECKS``, backs the
+``gradcheck`` CLI command and the test suite.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .losses import (
     cross_entropy,
 )
 
-DEFAULT_TOLERANCE = 1e-4
-DEFAULT_POINTS = 20
-DEFAULT_H = 1e-5
+TOLERANCE = 1e-4  # max relative error a check passes at
+POINTS = 20  # probe points per check
+H = 1e-5  # central-difference step
 
 
 class PreconditionError(ValueError):
@@ -215,7 +217,8 @@ def _probe_combined_multiplicative(rng):
     return _combined_builder(rng, "multiplicative")
 
 
-OP_CHECKS = {
+# tape ops, then losses; the gradcheck command reports them in this order
+ALL_CHECKS = {
     "add": _probe_add,
     "add_broadcast": _probe_add_broadcast,
     "sub": _probe_sub,
@@ -228,9 +231,6 @@ OP_CHECKS = {
     "dot": _probe_dot,
     "sum": _probe_sum,
     "scale": _probe_scale,
-}
-
-LOSS_CHECKS = {
     "cross_entropy": _probe_cross_entropy,
     "arcface_loss": _probe_arcface,
     "contrastive_mse": _probe_contrastive_mse,
@@ -238,8 +238,6 @@ LOSS_CHECKS = {
     "combined_loss": _probe_combined,
     "combined_loss_multiplicative": _probe_combined_multiplicative,
 }
-
-ALL_CHECKS = {**OP_CHECKS, **LOSS_CHECKS}
 
 
 @dataclass
@@ -264,32 +262,30 @@ def _smallest_partial(build_fn, inputs):
     return smallest, abs(loss.item())
 
 
-def _draw_conditioned(probe, rng, h, tolerance):
-    # Central differences carry absolute roundoff noise near eps * |loss| / h.
-    # A partial derivative below noise / tolerance cannot meet the relative
+def _draw_conditioned(probe, rng):
+    # Central differences carry absolute roundoff noise near eps * |loss| / H.
+    # A partial derivative below noise / TOLERANCE cannot meet the relative
     # tolerance no matter how correct the tape is, so redraw such probe
     # points; they would test numerical luck, not the chain rule.
     for _ in range(64):
         build_fn, inputs = probe(rng)
         smallest, loss_scale = _smallest_partial(build_fn, inputs)
-        noise_floor = np.finfo(float).eps * (1.0 + loss_scale) / h
-        if smallest * tolerance > 10.0 * noise_floor:
+        noise_floor = np.finfo(float).eps * (1.0 + loss_scale) / H
+        if smallest * TOLERANCE > 10.0 * noise_floor:
             break
     return build_fn, inputs
 
 
-def run_check(name: str, seed: int = 0, points: int = DEFAULT_POINTS,
-              h: float = DEFAULT_H,
-              tolerance: float = DEFAULT_TOLERANCE) -> CheckResult:
+def run_check(name: str, seed: int = 0) -> CheckResult:
+    """Worst relative error of one registered check over POINTS seeded probe points."""
     probe = ALL_CHECKS[name]
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
     worst = 0.0
-    for _ in range(points):
-        build_fn, inputs = _draw_conditioned(probe, rng, h, tolerance)
-        worst = max(worst, grad_check(build_fn, inputs, h=h))
-    return CheckResult(name, worst, points, tolerance)
+    for _ in range(POINTS):
+        build_fn, inputs = _draw_conditioned(probe, rng)
+        worst = max(worst, grad_check(build_fn, inputs, h=H))
+    return CheckResult(name, worst, POINTS, TOLERANCE)
 
 
-def run_all(seed: int = 0, points: int = DEFAULT_POINTS, h: float = DEFAULT_H,
-            tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:
-    return [run_check(name, seed, points, h, tolerance) for name in ALL_CHECKS]
+def run_all(seed: int = 0) -> list[CheckResult]:
+    return [run_check(name, seed) for name in ALL_CHECKS]

@@ -11,9 +11,11 @@ Every command is deterministic given its inputs and seed.  ``gen-data``
 and ``train`` read the run configuration (``--config FILE`` and repeatable
 ``--set KEY=VALUE``) and echo the effective configuration into their
 output directory as ``config.txt``; rerunning with that file at the same
-BLAS thread count reproduces the run exactly.  No config key applies to
-the other commands, so they take no config flags.  ``main`` reports every
-bad input as one ``error:`` line and exit status 2.
+BLAS thread count reproduces the run exactly.  ``train`` also writes
+``environment.txt``: the BLAS thread variables as found and the numpy
+version.  No config key applies to the other commands, so they take no
+config flags.  ``main`` reports every bad input as one ``error:`` line and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .config import (
 )
 from .data import build_splits, load_corpus, save_corpus
 from .metrics import (
+    PROTOCOL_MODES,
     compute_metrics,
     mask_detection_roc,
     protocol_scores,
@@ -45,8 +48,6 @@ from .metrics import (
 )
 from .model import load_checkpoint, save_checkpoint, toy_scale_modules
 from .training import DivergenceError, best_model, check_fit_inputs, fit
-
-EVAL_MODES = ("um", "mm", "mask-roc")
 
 
 def _group(n: int) -> str:
@@ -135,6 +136,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     log_path = os.path.join(config.out_dir, "train.log")
     with open(log_path, "w", encoding="ascii") as f:
         f.write("\n".join(log) + "\n")
+    # beside the log, not in it: train.log stays a function of config.txt
+    with open(os.path.join(config.out_dir, "environment.txt"), "w", encoding="utf-8") as f:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            f.write(f"{name} = {os.environ.get(name, 'unset')}\n")
+        f.write(f"numpy = {np.__version__}\n")
     best_path = os.path.join(config.out_dir, "best.ckpt")
     final_path = os.path.join(config.out_dir, "final.ckpt")
     save_checkpoint(best_model(state), best_path, seed=config.train.seed)
@@ -206,6 +212,8 @@ def cmd_paramcount(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     results = checks.run_all(seed=args.seed)
     worst = 0.0
     failed = []
@@ -264,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--data", required=True, metavar="DIR")
-    p.add_argument("--mode", required=True, choices=EVAL_MODES)
+    p.add_argument("--mode", required=True, choices=(*PROTOCOL_MODES, "mask-roc"))
     p.add_argument("--split", choices=("val", "test"), default="test")
     p.add_argument("--out", metavar="DIR", help="write report files here")
     p.set_defaults(func=cmd_eval)
@@ -284,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roc-export", help="write a ROC sweep as CSV")
     p.add_argument("--checkpoint", required=True, metavar="FILE")
     p.add_argument("--data", required=True, metavar="DIR")
-    p.add_argument("--mode", required=True, choices=("um", "mm"))
+    p.add_argument("--mode", required=True, choices=PROTOCOL_MODES)
     p.add_argument("--split", choices=("val", "test"), default="test")
     p.add_argument("--out", required=True, metavar="FILE", help="CSV path")
     p.set_defaults(func=cmd_roc_export)

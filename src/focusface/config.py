@@ -43,6 +43,8 @@ class RunConfig:
     out_dir: str = ""
 
     def __post_init__(self):
+        if self.dataset_seed < 0:
+            raise ValueError(f"dataset_seed must be non-negative, got {self.dataset_seed}")
         try:
             check_coverage_range(self.coverage_lo, self.coverage_hi)
         except ValueError as exc:

@@ -315,12 +315,11 @@ def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
 
 @dataclass
 class PairBatch:
-    """Aligned unmasked/masked pairs with shared identities and flip flags."""
+    """Aligned unmasked/masked pairs of one identity each, flipped together."""
 
     unmasked: np.ndarray  # (B, 1, 32, 32)
     masked: np.ndarray  # (B, 1, 32, 32)
     identity_labels: np.ndarray  # (B,) class ids
-    flip_flags: np.ndarray  # (B,) bool
 
     @property
     def mask_labels_unmasked(self) -> np.ndarray:
@@ -332,8 +331,7 @@ class PairBatch:
 
 
 def train_batch(corpus: Corpus, iteration: int, batch_size: int,
-                selection: str = "original", seed: int = 0,
-                return_indices: bool = False):
+                selection: str = "original", seed: int = 0) -> PairBatch:
     """One seeded pair batch; a pure function of (seed, iteration, corpus)."""
     if selection not in SELECTION_MODES:
         raise ValueError(f"selection must be one of {SELECTION_MODES}, got {selection!r}")
@@ -356,11 +354,7 @@ def train_batch(corpus: Corpus, iteration: int, batch_size: int,
     sel = flips[:, None, None]
     unmasked = np.where(sel, np.flip(unmasked, axis=-1), unmasked)
     masked = np.where(sel, np.flip(masked, axis=-1), masked)
-    batch = PairBatch(unmasked[:, None], masked[:, None],
-                      ids.astype(np.int64), flips)
-    if return_indices:
-        return batch, (ids, idx, src)
-    return batch
+    return PairBatch(unmasked[:, None], masked[:, None], ids.astype(np.int64))
 
 
 # -- disk format -------------------------------------------------------------
@@ -434,6 +428,13 @@ def _header_int(text: str) -> int:
         raise ValueError("expected an integer") from None
 
 
+def _header_non_negative_int(text: str) -> int:
+    value = _header_int(text)
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    return value
+
+
 def _header_positive_int(text: str) -> int:
     value = _header_int(text)
     if value < 1:
@@ -450,7 +451,7 @@ def _header_coverage_range(text: str) -> tuple:
 
 
 # manifest header field -> parser of its value; other "# ..." lines are comments
-_MANIFEST_FIELDS = {"dataset_seed": _header_int,
+_MANIFEST_FIELDS = {"dataset_seed": _header_non_negative_int,
                     "samples_per_identity": _header_positive_int,
                     "coverage_range": _header_coverage_range}
 

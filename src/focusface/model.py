@@ -189,7 +189,7 @@ class ToyModel:
         if leaves is None:
             # inference: plain leaves take no gradient, so no node stores a
             # rule and the tape is freed with the outputs
-            leaves = {name: tape.leaf(value) for name, value in self.params.items()}
+            leaves = self.leaves(tape, ())
         x = tape.leaf(images)
         for i, (_, stride) in enumerate(self.config.stages):
             x = tape.conv2d(x, leaves[f"conv{i}.weight"], leaves[f"conv{i}.bias"],
@@ -216,14 +216,16 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
-                 batch_size: int = 64):
+EMBED_CHUNK = 64
+
+
+def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
     """Recognition embeddings and masked-class probabilities for a stack of images.
 
-    Chunks are independent forward passes over read-only parameters, so any
-    thread count produces identical results written by chunk index.  The
-    forward runs on a float32 tape; both outputs are float64, computed from
-    its float32 activations.
+    The images are embedded in chunks of EMBED_CHUNK.  Chunks are independent
+    forward passes over read-only parameters, so any thread count produces
+    identical results written by chunk index.  The forward runs on a float32
+    tape; both outputs are float64, computed from its float32 activations.
     """
     images = np.asarray(images)
     n = images.shape[0]
@@ -231,7 +233,7 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
     mask_probs = np.zeros(n)
 
     def run_chunk(start):
-        stop = min(start + batch_size, n)
+        stop = min(start + EMBED_CHUNK, n)
         out = model.forward(Tape(np.float32), images[start:stop])
         # cast before dividing, so the rows are unit vectors to float64 precision
         emb = out.recognition_embedding.data.astype(np.float64)
@@ -240,7 +242,7 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1,
         logits = out.mask_logits.data.astype(np.float64)
         mask_probs[start:stop] = _softmax_rows(logits)[:, 1]
 
-    starts = range(0, n, batch_size)
+    starts = range(0, n, EMBED_CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, starts))

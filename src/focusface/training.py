@@ -57,6 +57,8 @@ class TrainConfig:
         for name in ("batch_size", "max_iterations", "eval_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}, "
                              f"got {self.selection_mode!r}")
@@ -99,18 +101,17 @@ def sgd_step(params: dict, grads: dict, velocities: dict, lr: float,
              momentum: float, weight_decay: float, iteration: int = -1) -> None:
     """v = momentum * v + (g + weight_decay * p); p = p - lr * v.
 
-    Updates exactly the parameters that own a momentum buffer; a missing
-    gradient is a zero gradient (the parameter still sees weight decay).
+    Updates exactly the parameters that own a momentum buffer, and needs a
+    gradient for each of them (``Tape.backward`` gives zeros to a trainable
+    leaf the loss never reaches, so such a parameter still sees weight decay).
     Raises DivergenceError on a non-finite gradient, and on an update that
     takes a parameter outside float32 range, where the next float32 tape
     and any checkpoint would turn it into inf.
     """
     for name, v in velocities.items():
         p = params[name]
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        elif not np.all(np.isfinite(g)):
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
             raise DivergenceError(f"non-finite gradient at iteration {iteration} "
                                   f"for {name}: {count_entries(~np.isfinite(g))}")
         v *= momentum
@@ -165,8 +166,7 @@ def train_iteration(state: TrainState, batch: PairBatch,
     comb, components = build_losses(state.model, leaves, batch, config.loss,
                                     baseline=config.baseline)
     grads = tape.backward(comb)
-    named_grads = {name: grads[t.node_id] for name, t in leaves.items()
-                   if t.node_id in grads}
+    named_grads = {name: grads[leaves[name].node_id] for name in state.velocities}
     lr = lr_at(state.iteration, config)
     sgd_step(state.model.params, named_grads, state.velocities, lr,
              config.momentum, config.weight_decay, iteration=state.iteration)

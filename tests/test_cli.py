@@ -168,8 +168,30 @@ def run_dir(tmp_path_factory, corpus_dir):
 
 
 def test_train_outputs(run_dir):
-    for name in ("train.log", "best.ckpt", "final.ckpt", "config.txt"):
+    for name in ("train.log", "best.ckpt", "final.ckpt", "config.txt", "environment.txt"):
         assert os.path.exists(os.path.join(run_dir, name))
+
+
+def test_train_environment_is_recorded_beside_the_log(corpus_dir, tmp_path, monkeypatch):
+    # the thread variables each run finds go to environment.txt, and only there
+    short = ["--seed", "2", "--set", "max_iterations=3", "--set", "milestones=2",
+             "--set", "eval_interval=2"]
+    runs = {"a": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+            "b": {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}}
+    for name, env in runs.items():
+        for var, value in env.items():
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert run_cli("train", "--data", corpus_dir, "--out", str(tmp_path / name),
+                       *short) == 0
+        recorded = (tmp_path / name / "environment.txt").read_text()
+        assert recorded == "".join(f"{var} = {value or 'unset'}\n"
+                                   for var, value in env.items()) + \
+            f"numpy = {np.__version__}\n"
+    for name in ("train.log", "best.ckpt", "final.ckpt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_train_prints_live_trainable_count(corpus_dir, tmp_path, capsys):
@@ -419,6 +441,7 @@ HEADER_EDITS = {
     "coverage-one-value": ("# coverage_range = 0.4,0.55", "# coverage_range = 0.45"),
     "coverage-unordered": ("# coverage_range = 0.4,0.55", "# coverage_range = 0.9,0.1"),
     "samples-zero": ("# samples_per_identity = 8", "# samples_per_identity = 0"),
+    "seed-negative": ("# dataset_seed = 7", "# dataset_seed = -5"),
 }
 
 
@@ -443,6 +466,9 @@ BAD_INPUTS = {
     "gen-data-no-samples": lambda p: (
         ["gen-data", "--out", p["new"], "--set", "samples_per_identity=0"],
         "samples_per_identity"),
+    "gen-data-dataset-seed-negative": lambda p: (
+        ["gen-data", "--out", p["new"], "--dataset-seed", "-1"],
+        "dataset_seed must be non-negative, got -1"),
     "gen-data-out-under-file": lambda p: (
         ["gen-data", "--out", os.path.join(p["file"], "sub")], p["file"]),
     "train-checkpoint-class-count": lambda p: (
@@ -465,6 +491,12 @@ BAD_INPUTS = {
     "train-manifest-samples-zero": lambda p: (
         ["train", "--data", p["samples-zero"], "--out", p["new"], *FAST],
         "manifest.tsv: header field samples_per_identity = '0': expected a positive integer"),
+    "train-manifest-seed-negative": lambda p: (
+        ["train", "--data", p["seed-negative"], "--out", p["new"], *FAST],
+        "manifest.tsv: header field dataset_seed = '-5': expected a non-negative integer"),
+    "train-seed-negative": lambda p: (
+        ["train", "--data", p["corpus"], "--out", p["new"], "--seed", "-1", *FAST],
+        "seed must be non-negative, got -1"),
     "train-lr-nan": lambda p: (
         ["train", "--data", p["corpus"], "--out", p["new"], "--set", "lr=nan"],
         "key 'lr'"),
@@ -476,6 +508,8 @@ BAD_INPUTS = {
     "eval-one-val-identity": lambda p: (
         ["eval", "--checkpoint", p["ckpt"], "--data", p["tiny"], "--mode", "um",
          "--split", "val"], "um verification needs at least 2 identities, the val split has 1"),
+    "gradcheck-seed-negative": lambda p: (
+        ["gradcheck", "--seed", "-2"], "seed must be non-negative, got -2"),
     "roc-export-missing-dir": lambda p: (
         ["roc-export", "--checkpoint", p["ckpt"], "--data", p["corpus"],
          "--mode", "um", "--out", os.path.join(p["new"], "roc.csv")], p["new"]),

@@ -190,25 +190,40 @@ def test_train_batch_deterministic_and_labeled():
     assert not np.array_equal(a.unmasked, c.unmasked)
 
 
+def batch_sources(corpus, batch):
+    """Per pair, the (sample, flipped) its unmasked and its masked member show.
+
+    Found by image content among the labelled identity's training images;
+    each member must match exactly one sample, mirrored or not.
+    """
+    def locate(images, image):
+        hits = [(s, flip) for s, img in enumerate(images) for flip in (False, True)
+                if np.array_equal(np.flip(img, axis=-1) if flip else img, image)]
+        assert len(hits) == 1, hits
+        return hits[0]
+
+    return [(locate(corpus.train_unmasked[ident], u[0]),
+             locate(corpus.train_masked[ident], m[0]))
+            for ident, u, m in zip(batch.identity_labels, batch.unmasked, batch.masked)]
+
+
 def test_train_batch_flip_synchronized():
     corpus = build_splits(12, 4, dataset_seed=7)
-    batch, (ids, idx, src) = train_batch(corpus, 3, 32, seed=3, return_indices=True)
-    assert np.array_equal(src, idx)  # original mode
-    for k in range(32):
-        u = corpus.train_unmasked[ids[k], idx[k]]
-        m = corpus.train_masked[ids[k], src[k]]
-        if batch.flip_flags[k]:
-            u, m = np.flip(u, axis=-1), np.flip(m, axis=-1)
-        assert np.array_equal(batch.unmasked[k, 0], u)
-        assert np.array_equal(batch.masked[k, 0], m)
+    batch = train_batch(corpus, 3, 32, seed=3)
+    flips = set()
+    for (idx, u_flip), (src, m_flip) in batch_sources(corpus, batch):
+        assert src == idx  # original mode
+        assert u_flip == m_flip
+        flips.add(u_flip)
+    assert flips == {False, True}
 
 
 def test_train_batch_random_selection_avoids_anchor():
     corpus = build_splits(12, 4, dataset_seed=8)
-    _, (ids, idx, src) = train_batch(corpus, 3, 64, selection="random", seed=4,
-                                     return_indices=True)
-    assert np.all(src != idx)
-    assert src.min() >= 0 and src.max() < corpus.samples_per_identity
+    batch = train_batch(corpus, 3, 64, selection="random", seed=4)
+    for (idx, _), (src, _) in batch_sources(corpus, batch):
+        assert src != idx
+        assert 0 <= src < corpus.samples_per_identity
 
 
 def test_train_batch_original_shares_top_rows():
@@ -230,9 +245,10 @@ def test_train_batch_random_selection_needs_two_samples():
     with pytest.raises(ValueError, match="at least 2 samples per identity"):
         train_batch(build_splits(12, 1, dataset_seed=9), 0, 8, selection="random")
     # with two samples, the masked member is always the other one
-    _, (_, idx, src) = train_batch(build_splits(12, 2, dataset_seed=9), 0, 32,
-                                   selection="random", return_indices=True)
-    assert np.array_equal(src, 1 - idx)
+    corpus = build_splits(12, 2, dataset_seed=9)
+    batch = train_batch(corpus, 0, 32, selection="random")
+    for (idx, _), (src, _) in batch_sources(corpus, batch):
+        assert src == 1 - idx
 
 
 def test_corpus_round_trip(tmp_path):

@@ -142,9 +142,9 @@ def test_config_validation():
 
 def test_embed_images_thread_count_irrelevant():
     model = ToyModel.init(seed=7)
-    images = small_batch(np.random.default_rng(5), n=23)
-    emb1, prob1 = embed_images(model, images, threads=1, batch_size=4)
-    emb4, prob4 = embed_images(model, images, threads=4, batch_size=4)
+    images = small_batch(np.random.default_rng(5), n=150)  # chunks of 64, 64, 22
+    emb1, prob1 = embed_images(model, images, threads=1)
+    emb4, prob4 = embed_images(model, images, threads=4)
     assert np.array_equal(emb1, emb4)
     assert np.array_equal(prob1, prob4)
     norms = np.linalg.norm(emb1, axis=1)
@@ -180,11 +180,11 @@ def test_embed_images_leaves_no_tape_alive(monkeypatch):
 
     monkeypatch.setattr(model_module, "Tape", RecordedTape)
     model = ToyModel.init(seed=7)
-    images = small_batch(np.random.default_rng(5), n=9)
+    images = small_batch(np.random.default_rng(5), n=150)
     gc.collect()
     gc.disable()
     try:
-        embed_images(model, images, batch_size=4)
+        embed_images(model, images)
         assert len(tapes) == 3
         assert all(alive() is None for alive in tapes)
     finally:

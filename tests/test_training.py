@@ -42,11 +42,12 @@ def test_sgd_vanilla_step():
 
 def test_sgd_zero_grad_decays_buffer_only():
     params = {"w": np.array([3.0])}
+    zero = {"w": np.array([0.0])}
     velocities = {"w": np.array([0.0])}
-    sgd_step(params, {}, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
+    sgd_step(params, zero, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
     assert params["w"][0] == 3.0 and velocities["w"][0] == 0.0
     velocities = {"w": np.array([2.0])}
-    sgd_step(params, {}, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
+    sgd_step(params, zero, velocities, lr=0.1, momentum=0.9, weight_decay=0.0)
     assert velocities["w"][0] == pytest.approx(1.8, abs=0)
     assert params["w"][0] == pytest.approx(3.0 - 0.1 * 1.8, abs=0)
 
@@ -67,14 +68,6 @@ def test_sgd_weight_decay_single_step():
     velocities = {"w": np.array([0.0])}
     sgd_step(params, {"w": np.array([g])}, velocities, lr, 0.0, wd)
     assert params["w"][0] == pytest.approx(p0 - lr * (g + wd * p0), abs=1e-15)
-
-
-def test_sgd_missing_grad_still_sees_weight_decay():
-    p0, lr, wd = 4.0, 0.1, 0.5
-    params = {"w": np.array([p0])}
-    velocities = {"w": np.array([0.0])}
-    sgd_step(params, {}, velocities, lr, 0.9, wd)
-    assert params["w"][0] == pytest.approx(p0 - lr * wd * p0, abs=1e-15)
 
 
 def test_sgd_nonfinite_grad_aborts_with_diagnostics():
@@ -139,6 +132,18 @@ def test_baseline_iteration_ignores_aux_loss_weights(corpus):
     assert breakdown_a == breakdown_b
     for name, value in params_a.items():
         assert value.tobytes() == params_b[name].tobytes(), name
+
+
+def test_unreached_parameter_still_sees_weight_decay(corpus):
+    # the baseline loss never reaches the mask classifier, yet it trains:
+    # its zero gradient leaves weight decay alone to move it at step 0
+    config = TrainConfig(batch_size=8, baseline=True)
+    state = init_state(tiny_model(seed=3, num_classes=corpus.num_classes), config)
+    p0 = state.model.params["mask_classifier.weight"].copy()
+    train_iteration(state, small_batch(corpus), config)
+    lr, wd = lr_at(0, config), config.weight_decay
+    assert np.array_equal(state.model.params["mask_classifier.weight"], p0 - lr * (wd * p0))
+    assert not np.array_equal(state.model.params["mask_classifier.weight"], p0)
 
 
 def test_baseline_path_matches_zeroed_full_path(corpus):
