@@ -11,6 +11,13 @@ noise). Occluders overwrite the bottom rows with one of four distinct
 geometries. Every randomness site is keyed by explicit integer seed
 sequences, so the whole corpus is a pure function of its dataset seed and
 parallel generation cannot change the result.
+
+One generator, ``_cells``, gives the order of every image: manifest rows,
+saved files and the images ``build_splits`` renders and ``load_corpus``
+reads.  One assembler, ``_assemble``, writes such images into a ``Corpus``.
+The manifest header keeps the coverage range at full precision, and
+``load_corpus`` rejects rows the protocol would not write, or an identity in
+two splits, before it reads an image.
 """
 
 from __future__ import annotations
@@ -251,28 +258,51 @@ def split_identity_counts(num_identities: int):
     return num_identities - test - val, val, test
 
 
-def _eval_side(images, identity_ids, layout) -> EvalSide:
-    """A side's arrays: images identity-major, ``layout`` once per identity."""
-    masked, sessions = zip(*layout)
-    count = len(identity_ids)
-    return EvalSide(np.asarray(images, dtype=np.float32).reshape(-1, IMAGE_HW, IMAGE_HW),
-                    np.repeat(np.asarray(identity_ids, dtype=np.int64), len(layout)),
-                    np.tile(np.asarray(masked, dtype=bool), count),
-                    np.tile(np.asarray(sessions, dtype=np.int64), count))
+def _cells(ids: dict, samples: int):
+    """Every corpus image as ``(split, identity, role, masked, index, seed)``.
+
+    The one image order, of manifest rows and of the images ``_assemble``
+    takes; ``ids`` maps each split name to its identity ids.  Train sample
+    ``s`` is an unmasked then a masked cell, both with seed ``s``.  Eval
+    cells follow EVAL_PROTOCOL: the role is the side and session, ``index``
+    the position within the side, and the seed the side's base plus the
+    position within the identity's layout.
+    """
+    for ident, s, is_masked in itertools.product(ids["train"], range(samples), (False, True)):
+        yield "train", ident, "train", is_masked, s, s
+    for split in ("val", "test"):
+        for side, base, layout in EVAL_PROTOCOL:
+            cells = itertools.product(ids[split], enumerate(layout))
+            for n, (ident, (k, (is_masked, session))) in enumerate(cells):
+                yield split, ident, f"{side}{session}", is_masked, n, base + k
 
 
-def _build_eval_split(identities, coverage_range=COVERAGE_RANGE) -> EvalSplit:
-    sides = []
-    for _, seed_base, layout in EVAL_PROTOCOL:
-        images = []
-        for spec in identities:
-            for k, (is_masked, _) in enumerate(layout):
-                img = render_sample(spec, seed_base + k)
-                if is_masked:
-                    img = apply_mask(img, _mask_spec_for(spec, seed_base + k, coverage_range))
-                images.append(img)
-        sides.append(_eval_side(images, [spec.identity_id for spec in identities], layout))
-    return EvalSplit(*sides)
+def _assemble(images, ids, samples, dataset_seed, coverage_range) -> Corpus:
+    """The corpus whose ``_cells`` cells hold ``images``, one each, in order:
+    each (32, 32) image is written into the array and position its cell names,
+    and each eval side's identity, mask and session arrays come from its cells."""
+    cells = list(_cells(ids, samples))
+    classes = {ident: k for k, ident in enumerate(ids["train"])}
+    unmasked, masked = (np.empty((len(classes), samples, IMAGE_HW, IMAGE_HW), dtype=np.float32)
+                        for _ in range(2))
+    side_cells = {(split, name): [] for split in ("val", "test") for name, _, _ in EVAL_PROTOCOL}
+    for split, ident, role, is_masked, _, _ in cells:
+        if split != "train":
+            side_cells[split, role[:-1]].append((ident, is_masked, int(role[-1])))
+    sides = {}
+    for key, rows in side_cells.items():
+        identities, flags, sessions = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+        sides[key] = EvalSide(np.empty((len(rows), IMAGE_HW, IMAGE_HW), dtype=np.float32),
+                              identities, flags.astype(bool), sessions)
+    for image, (split, ident, role, is_masked, index, _) in zip(images, cells, strict=True):
+        if split == "train":
+            (masked if is_masked else unmasked)[classes[ident], index] = image
+        else:
+            sides[split, role[:-1]].images[index] = image
+    val, test = (EvalSplit(*(sides[split, name] for name, _, _ in EVAL_PROTOCOL))
+                 for split in ("val", "test"))
+    return Corpus(dataset_seed, samples, np.array(ids["train"], dtype=np.int64),
+                  unmasked, masked, val, test, coverage_range=coverage_range)
 
 
 def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
@@ -280,35 +310,25 @@ def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
                  coverage_range: tuple = COVERAGE_RANGE) -> Corpus:
     """Identity-disjoint train/val/test splits; eval splits hold references
     (session 1) and probes (sessions 2 and 3) with disjoint variation seeds."""
-    train_n, val_n, test_n = split_identity_counts(num_identities)
+    train_n, val_n, _ = split_identity_counts(num_identities)
     seed_floor = min(base for _, base, _ in EVAL_PROTOCOL)
     if not 0 < samples_per_identity < seed_floor:
         raise ValueError(f"samples_per_identity must be in [1, {seed_floor}), "
                          f"got {samples_per_identity}")
     coverage_range = check_coverage_range(*coverage_range)
     specs = [identity_spec(dataset_seed, i) for i in range(num_identities)]
-    train_ids = specs[:train_n]
-    val_ids = specs[train_n:train_n + val_n]
-    test_ids = specs[train_n + val_n:]
+    ids = {"train": list(range(train_n)), "val": list(range(train_n, train_n + val_n)),
+           "test": list(range(train_n + val_n, num_identities))}
 
-    unmasked = np.zeros((train_n, samples_per_identity, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-    masked = np.zeros_like(unmasked)
-    for i, spec in enumerate(train_ids):
-        for s in range(samples_per_identity):
-            img = render_sample(spec, s)
-            unmasked[i, s] = img
-            masked[i, s] = apply_mask(img, _mask_spec_for(spec, s, coverage_range))
+    def images():
+        render = lru_cache(maxsize=1)(render_sample)  # a train pair shares one render
+        for _, ident, _, is_masked, _, seed in _cells(ids, samples_per_identity):
+            img = render(specs[ident], seed)
+            if is_masked:
+                img = apply_mask(img, _mask_spec_for(specs[ident], seed, coverage_range))
+            yield img
 
-    return Corpus(
-        dataset_seed=dataset_seed,
-        samples_per_identity=samples_per_identity,
-        train_identity_ids=np.array([s.identity_id for s in train_ids], dtype=np.int64),
-        train_unmasked=unmasked,
-        train_masked=masked,
-        val=_build_eval_split(val_ids, coverage_range),
-        test=_build_eval_split(test_ids, coverage_range),
-        coverage_range=coverage_range,
-    )
+    return _assemble(images(), ids, samples_per_identity, dataset_seed, coverage_range)
 
 
 # -- training batches --------------------------------------------------------
@@ -371,23 +391,10 @@ def _read_image(path: str) -> np.ndarray:
 
 
 def _manifest_rows(ids: dict, samples: int):
-    """Every manifest row below the header, in written order.
-
-    ``ids`` maps each split name to its identity ids.  Train rows pair each
-    sample's unmasked and masked image; eval rows follow EVAL_PROTOCOL, and
-    their file names number the images by position within the side.
-    """
-    def row(split, ident, role, is_masked, index):
+    """Every manifest row below the header, one per ``_cells`` cell."""
+    for split, ident, role, is_masked, index, _ in _cells(ids, samples):
         name = f"id{ident:04d}_{role}_{'um'[is_masked]}{index:04d}.f32"
-        return f"images/{split}/{name}\t{ident}\t{int(is_masked)}\t{split}\t{role}"
-
-    for ident, s, is_masked in itertools.product(ids["train"], range(samples), (False, True)):
-        yield row("train", ident, "train", is_masked, s)
-    for split in ("val", "test"):
-        for side, _, layout in EVAL_PROTOCOL:
-            cells = itertools.product(ids[split], layout)
-            for k, (ident, (is_masked, session)) in enumerate(cells):
-                yield row(split, ident, f"{side}{session}", is_masked, k)
+        yield f"images/{split}/{name}\t{ident}\t{int(is_masked)}\t{split}\t{role}"
 
 
 def save_corpus(corpus: Corpus, outdir: str) -> str:
@@ -413,7 +420,7 @@ def save_corpus(corpus: Corpus, outdir: str) -> str:
     lines = [MANIFEST_MAGIC,
              f"# dataset_seed = {corpus.dataset_seed}",
              f"# samples_per_identity = {corpus.samples_per_identity}",
-             f"# coverage_range = {lo:.10g},{hi:.10g}",
+             f"# coverage_range = {lo!r},{hi!r}",
              *rows]
     manifest_path = os.path.join(outdir, MANIFEST_NAME)
     with open(manifest_path, "w", encoding="ascii") as f:
@@ -488,6 +495,11 @@ def load_corpus(outdir: str) -> Corpus:
         ids = {split: list(dict.fromkeys(int(c[1]) for c in columns
                                          if c[3:4] == [split] and c[1].isdigit()))
                for split in ("train", "val", "test")}
+        for a, b in itertools.combinations(ids, 2):
+            shared = set(ids[a]) & set(ids[b])
+            if shared:
+                raise ValueError(f"{manifest_path}: identity {min(shared)} is in both "
+                                 f"the {a} and the {b} split")
         expected = list(_manifest_rows(ids, samples))
         for n, (got, want) in enumerate(zip(rows, expected), 1):
             if got != want:
@@ -497,29 +509,8 @@ def load_corpus(outdir: str) -> Corpus:
             raise ValueError(f"{manifest_path} has {len(rows)} rows, "
                              f"the protocol expects {len(expected)}")
 
-        images = np.empty((len(rows), IMAGE_HW, IMAGE_HW), dtype=np.float32)
-        for n, c in enumerate(columns):
-            images[n] = _read_image(os.path.join(outdir, c[0]))
-        start = len(ids["train"]) * samples * 2
-        pairs = images[:start].reshape(len(ids["train"]), samples, 2, IMAGE_HW, IMAGE_HW)
-        splits = {}
-        for split in ("val", "test"):
-            sides = []
-            for _, _, layout in EVAL_PROTOCOL:
-                stop = start + len(ids[split]) * len(layout)
-                sides.append(_eval_side(images[start:stop], ids[split], layout))
-                start = stop
-            splits[split] = EvalSplit(*sides)
-
-        return Corpus(
-            dataset_seed=meta["dataset_seed"],
-            samples_per_identity=samples,
-            train_identity_ids=np.array(ids["train"], dtype=np.int64),
-            train_unmasked=pairs[:, :, 0],
-            train_masked=pairs[:, :, 1],
-            val=splits["val"],
-            test=splits["test"],
-            coverage_range=meta.get("coverage_range", COVERAGE_RANGE),
-        )
+        images = (_read_image(os.path.join(outdir, c[0])) for c in columns)
+        return _assemble(images, ids, samples, meta["dataset_seed"],
+                         meta.get("coverage_range", COVERAGE_RANGE))
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load corpus from {outdir}: {exc}") from None

@@ -435,6 +435,20 @@ def tampered_corpus_dir(tmp_path_factory, corpus_dir):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def shared_identity_dir(tmp_path_factory, corpus_dir):
+    # a copy of corpus_dir whose validation identity 13 was renamed to
+    # training identity 0, in the manifest and in the image file names
+    out = tmp_path_factory.mktemp("shared-identity") / "corpus"
+    shutil.copytree(corpus_dir, out)
+    manifest = out / "manifest.tsv"
+    manifest.write_text(manifest.read_text().replace("images/val/id0013_", "images/val/id0000_")
+                        .replace("\t13\t", "\t0\t"))
+    for image in (out / "images" / "val").glob("id0013_*"):
+        image.rename(image.with_name(image.name.replace("id0013_", "id0000_")))
+    return str(out)
+
+
 # manifest header line -> its replacement, one corpus copy each
 HEADER_EDITS = {
     "seed-zero": ("# dataset_seed = 7", "# dataset_seed = zero"),
@@ -479,6 +493,9 @@ BAD_INPUTS = {
         "needs at least 2 training identities, the corpus has 1"),
     "train-tampered-manifest": lambda p: (
         ["train", "--data", p["tampered"], "--out", p["new"], *FAST], "manifest.tsv"),
+    "train-identity-in-two-splits": lambda p: (
+        ["train", "--data", p["shared"], "--out", p["new"], *FAST],
+        "manifest.tsv: identity 0 is in both the train and the val split"),
     "train-manifest-seed-not-integer": lambda p: (
         ["train", "--data", p["seed-zero"], "--out", p["new"], *FAST],
         "manifest.tsv: header field dataset_seed"),
@@ -518,14 +535,14 @@ BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_is_one_line_error(corpus_dir, run_dir, one_train_identity_dir,
-                                     tampered_corpus_dir, header_edited_dirs, tmp_path,
-                                     capsys, case):
+                                     tampered_corpus_dir, shared_identity_dir,
+                                     header_edited_dirs, tmp_path, capsys, case):
     file_path = tmp_path / "file"
     file_path.write_text("")
     wide = str(tmp_path / "wide.ckpt")
     save_checkpoint(ToyModel.init(ToyBackboneConfig(num_classes=30)), wide)
     paths = {"corpus": corpus_dir, "tiny": one_train_identity_dir,
-             "tampered": tampered_corpus_dir,
+             "tampered": tampered_corpus_dir, "shared": shared_identity_dir,
              "ckpt": os.path.join(run_dir, "best.ckpt"), "wide": wide,
              "file": str(file_path), "new": str(tmp_path / "new"), **header_edited_dirs}
     argv, named = BAD_INPUTS[case](paths)

@@ -252,12 +252,14 @@ def test_train_batch_random_selection_needs_two_samples():
 
 
 def test_corpus_round_trip(tmp_path):
-    corpus = build_splits(8, 3, dataset_seed=9)
+    # a coverage end with more digits than a short float format keeps
+    corpus = build_splits(8, 3, dataset_seed=9, coverage_range=(0.41234567891234, 0.5))
     out = tmp_path / "corpus"
     save_corpus(corpus, str(out))
     loaded = load_corpus(str(out))
     assert loaded.dataset_seed == 9
     assert loaded.samples_per_identity == 3
+    assert loaded.coverage_range == corpus.coverage_range
     assert np.array_equal(loaded.train_identity_ids, corpus.train_identity_ids)
     assert np.array_equal(loaded.train_unmasked, corpus.train_unmasked)
     assert np.array_equal(loaded.train_masked, corpus.train_masked)
@@ -324,19 +326,28 @@ TRAIN_ROW = "images/train/id0001_train_m0001.f32\t1\t1\ttrain\ttrain"
 LAST_ROW = "images/test/id0007_probe3_m0023.f32\t7\t1\ttest\tprobe3"
 
 
-@pytest.mark.parametrize("edit", [
-    _without(TRAIN_ROW),
-    _without(LAST_ROW),
-    lambda text: text.replace(TRAIN_ROW, TRAIN_ROW + "\n" + TRAIN_ROW),
+PROTOCOL_MISMATCH = r"manifest\.tsv.* the protocol expects"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without(TRAIN_ROW), PROTOCOL_MISMATCH),
+    (_without(LAST_ROW), PROTOCOL_MISMATCH),
+    (lambda text: text.replace(TRAIN_ROW, TRAIN_ROW + "\n" + TRAIN_ROW), PROTOCOL_MISMATCH),
     # same identity, mask and role: only the order tells the images apart
-    _swapped("images/train/id0000_train_u0000.f32", "images/train/id0000_train_u0001.f32"),
-    _swapped("images/val/id0005_ref1_u0000.f32\t5\t0",
-             "images/val/id0005_ref1_m0002.f32\t5\t1"),
+    (_swapped("images/train/id0000_train_u0000.f32", "images/train/id0000_train_u0001.f32"),
+     PROTOCOL_MISMATCH),
+    (_swapped("images/val/id0005_ref1_u0000.f32\t5\t0",
+              "images/val/id0005_ref1_m0002.f32\t5\t1"), PROTOCOL_MISMATCH),
+    # the validation identity renamed to a training one: rows the protocol
+    # would write for these ids, but validation would score a training identity
+    (lambda text: text.replace("images/val/id0005_", "images/val/id0000_")
+     .replace("\t5\t", "\t0\t"),
+     r"manifest\.tsv: identity 0 is in both the train and the val split"),
 ], ids=["dropped-train-row", "dropped-eval-row", "duplicated-row",
-        "swapped-train-samples", "swapped-eval-rows"])
-def test_load_rejects_tampered_manifest(tmp_path, edit):
+        "swapped-train-samples", "swapped-eval-rows", "identity-in-two-splits"])
+def test_load_rejects_tampered_manifest(tmp_path, edit, message):
     out = _edit_manifest(tmp_path, edit)
-    with pytest.raises(ValueError, match=r"manifest\.tsv.* the protocol expects"):
+    with pytest.raises(ValueError, match=message):
         load_corpus(out)
 
 
@@ -346,3 +357,18 @@ def test_manifest_bytes_are_pinned(tmp_path):
     with open(manifest, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     assert digest == "ca997152ee0125225e0ee231a831f04d9eff99657b0a6ca15e7148cdf7834e7a"
+
+
+def test_corpus_bytes_are_pinned():
+    # every array of a built corpus, with its dtype and shape: a change that
+    # reorders, recasts or re-renders any image moves this digest
+    corpus = build_splits(4, 2, dataset_seed=0)
+    arrays = [corpus.train_identity_ids, corpus.train_unmasked, corpus.train_masked]
+    for split in (corpus.val, corpus.test):
+        for side in (split.references, split.probes):
+            arrays += [side.images, side.identity_ids, side.masked, side.sessions]
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == "412942a79ba1bc48044fc17bcf9a1de3ed5e678c15060061f6f7540c491dc781"
