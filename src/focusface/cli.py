@@ -175,7 +175,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.mode == "mask-roc":
         images, labels = split_mask_detection_set(split)
         points, auc = mask_detection_roc(model, images, labels)
-        print(f"mask-roc {args.split} auc {auc:.10g} ({len(points)} points)")
+        print(f"mask-roc {args.split} auc {auc:.10g} ({points[2].size} points)")
         if args.out:
             csv_path = os.path.join(args.out, f"mask-roc-{args.split}.csv")
             write_roc_csv(points, csv_path)
@@ -236,7 +236,7 @@ def cmd_roc_export(args: argparse.Namespace) -> int:
     split = _eval_split(args)
     points = roc_points(protocol_scores(model, split, args.mode))
     write_roc_csv(points, args.out)
-    print(f"wrote {args.out} ({len(points)} points)")
+    print(f"wrote {args.out} ({points[2].size} points)")
     return 0
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -410,11 +410,18 @@ def save_corpus(corpus: Corpus, outdir: str) -> str:
     rows = list(_manifest_rows(ids, corpus.samples_per_identity))
     for split in ids:
         os.makedirs(os.path.join(outdir, "images", split), exist_ok=True)
-    train = np.stack((corpus.train_unmasked, corpus.train_masked), axis=2)
-    images = itertools.chain(train.reshape(-1, IMAGE_HW, IMAGE_HW),
-                             *(side.images for split in (corpus.val, corpus.test)
-                               for side in (split.references, split.probes)))
-    for row, img in zip(rows, images, strict=True):
+    # each cell's image, read from where _assemble writes it
+    classes = {ident: k for k, ident in enumerate(ids["train"])}
+    sides = {(split, name): getattr(getattr(corpus, split), side.name)
+             for split in ("val", "test")
+             for (name, _, _), side in zip(EVAL_PROTOCOL, fields(EvalSplit))}
+    cells = _cells(ids, corpus.samples_per_identity)
+    for row, (split, ident, role, is_masked, index, _) in zip(rows, cells, strict=True):
+        if split == "train":
+            train = corpus.train_masked if is_masked else corpus.train_unmasked
+            img = train[classes[ident], index]
+        else:
+            img = sides[split, role[:-1]].images[index]
         _write_image(os.path.join(outdir, row.split("\t", 1)[0]), img)
     lo, hi = corpus.coverage_range
     lines = [MANIFEST_MAGIC,

@@ -52,27 +52,57 @@ def _checked(scores: ScoreSet):
         raise ValueError("score set needs both genuine and impostor scores")
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(i))):
         raise ValueError("score set contains non-finite values")
-    return np.sort(g), np.sort(i)
+    return g, i
 
 
-def _sweep(scores: ScoreSet):
-    """Thresholds ascending (with one past-the-end sentinel), FMR, FNMR."""
+def roc_points(scores: ScoreSet):
+    """The sweep as float64 arrays ``(fmr, fnmr, thresholds)``.
+
+    Thresholds rise over every distinct score plus one sentinel past the
+    end (``max + 1.0``), and FMR falls.  One sort of all scores does it: each
+    run of equal values is a threshold (a zero is written +0.0, whichever
+    zero sorted first), its start index counts the scores below it, and a
+    bincount of the genuine scores' runs counts the genuine ones.  Where
+    ``max + 1.0`` rounds back to ``max``, the sentinel row repeats the last
+    threshold's counts.
+    """
     g, i = _checked(scores)
-    thresholds = np.unique(np.concatenate([g, i]))
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
-    fmr = (i.size - np.searchsorted(i, thresholds, side="left")) / i.size
-    fnmr = np.searchsorted(g, thresholds, side="left") / g.size
-    return thresholds, fmr, fnmr
+    ranked = np.concatenate([g, i])
+    ranked.sort()
+    run_start = np.empty(ranked.size, dtype=bool)
+    run_start[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=run_start[1:])
+    # below[k]: scores below thresholds[k], all of them at the sentinel
+    below = np.append(np.flatnonzero(run_start), ranked.size)
+    thresholds = ranked.take(below, mode="clip")  # the sentinel's index clips to max
+    del ranked, run_start  # freed here, not at return, to lower the peak memory
+    thresholds += 0.0  # -0.0 + 0.0 is +0.0
+    thresholds[-1] += 1.0
+    # genuine_below[k]: genuine scores in the runs before run k
+    runs = np.searchsorted(thresholds[:-1], g)
+    genuine_below = np.cumsum(np.bincount(runs + 1, minlength=thresholds.size))
+    if thresholds[-1] == thresholds[-2]:
+        genuine_below[-1], below[-1] = genuine_below[-2], below[-2]
+    fnmr = genuine_below / g.size
+    below -= genuine_below
+    fmr = (i.size - below) / i.size
+    return fmr, fnmr, thresholds
+
+
+def _auc(fmr, fnmr) -> float:
+    """Trapezoidal area under the (FMR, 1 - FNMR) curve of a sweep."""
+    return float(np.trapezoid((1.0 - fnmr)[::-1], fmr[::-1]))
 
 
 def compute_metrics(scores: ScoreSet) -> MetricsReport:
-    thresholds, fmr, fnmr = _sweep(scores)
+    fmr, fnmr, thresholds = roc_points(scores)
+    auc = _auc(fmr, fnmr)
 
-    # diff is non-increasing, starts at +1 and ends at -1; interpolate the
+    # rise is non-decreasing, starts at -1 and ends at +1; interpolate the
     # bracketing segment so FMR and FNMR agree exactly at the crossing
-    diff = fmr - fnmr
-    k = int(np.searchsorted(-diff, 0.0, side="right")) - 1
-    tau = diff[k] / (diff[k] - diff[k + 1])
+    rise = fnmr - fmr
+    k = int(np.searchsorted(rise, 0.0, side="right")) - 1
+    tau = rise[k] / (rise[k] - rise[k + 1])
     eer = fmr[k] + tau * (fmr[k + 1] - fmr[k])
     threshold_at_eer = thresholds[k] + tau * (thresholds[k + 1] - thresholds[k])
 
@@ -80,7 +110,6 @@ def compute_metrics(scores: ScoreSet) -> MetricsReport:
         eligible = fnmr[fmr <= fmr_cap]
         return float(eligible.min()) if eligible.size else 1.0
 
-    auc = float(np.trapezoid((1.0 - fnmr)[::-1], fmr[::-1]))
     return MetricsReport(
         eer=float(eer),
         auc=auc,
@@ -90,13 +119,6 @@ def compute_metrics(scores: ScoreSet) -> MetricsReport:
         imean=float(scores.impostor.mean()),
         threshold_at_eer=float(threshold_at_eer),
     )
-
-
-def roc_points(scores: ScoreSet) -> list:
-    """(fmr, fnmr, threshold) tuples with thresholds rising, FMR falling."""
-    thresholds, fmr, fnmr = _sweep(scores)
-    return [(float(f), float(n), float(t))
-            for f, n, t in zip(fmr, fnmr, thresholds)]
 
 
 # -- scoring protocols -------------------------------------------------------
@@ -144,22 +166,24 @@ def split_mask_detection_set(split: EvalSplit):
 
 
 def mask_detection_roc(model: ToyModel, images, mask_labels):
-    """ROC points and AUC for the masked-class probability as a detector."""
+    """``roc_points`` arrays and AUC for the masked-class probability as a detector."""
     mask_labels = np.asarray(mask_labels)
     if len(set(mask_labels.tolist())) < 2:
         raise ValueError("mask-detection ROC needs both classes present")
     _, probs = embed_images(model, np.asarray(images)[:, None])
-    scores = ScoreSet(genuine=probs[mask_labels == 1], impostor=probs[mask_labels == 0])
-    return roc_points(scores), compute_metrics(scores).auc
+    points = roc_points(ScoreSet(genuine=probs[mask_labels == 1],
+                                 impostor=probs[mask_labels == 0]))
+    return points, _auc(*points[:2])
 
 
 # -- exports -----------------------------------------------------------------
 
 def write_roc_csv(points, path: str) -> None:
-    """CSV with header threshold,fmr,fnmr at 9 significant digits."""
+    """CSV of ``roc_points`` arrays: header threshold,fmr,fnmr, 9 significant digits."""
+    fmr, fnmr, thresholds = points
     lines = ["threshold,fmr,fnmr"]
-    for fmr, fnmr, threshold in points:
-        lines.append(f"{threshold:.9g},{fmr:.9g},{fnmr:.9g}")
+    for f, n, t in zip(fmr.tolist(), fnmr.tolist(), thresholds.tolist()):
+        lines.append(f"{t:.9g},{f:.9g},{n:.9g}")
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 

@@ -27,8 +27,9 @@ def random_scoreset(rng):
     return genuine, impostor
 
 
-def oracle_metrics(genuine, impostor):
-    """Brute-force threshold sweep; returns the same fields as the library."""
+def oracle_rows(genuine, impostor):
+    """Brute-force threshold sweep: one (threshold, fmr, fnmr) row per distinct
+    score, ascending, then the sentinel max + 1.0."""
     genuine = np.asarray(genuine, dtype=np.float64)
     impostor = np.asarray(impostor, dtype=np.float64)
     thresholds = sorted(set(genuine.tolist()) | set(impostor.tolist()))
@@ -39,6 +40,14 @@ def oracle_metrics(genuine, impostor):
         fmr = int(np.count_nonzero(impostor >= t)) / impostor.size
         fnmr = int(np.count_nonzero(genuine < t)) / genuine.size
         rows.append((t, fmr, fnmr))
+    return rows
+
+
+def oracle_metrics(genuine, impostor):
+    """Brute-force threshold sweep; returns the same fields as the library."""
+    genuine = np.asarray(genuine, dtype=np.float64)
+    impostor = np.asarray(impostor, dtype=np.float64)
+    rows = oracle_rows(genuine, impostor)
 
     eer = threshold_at_eer = None
     for k in range(len(rows) - 1):

@@ -637,6 +637,20 @@ def test_roc_export_csv(corpus_dir, run_dir, tmp_path):
     assert np.all(np.diff(rows[:, 2]) >= 0)
 
 
+@pytest.mark.parametrize("command,mode,out,csv_name", [
+    ("eval", "mask-roc", "roc", os.path.join("roc", "mask-roc-test.csv")),
+    ("roc-export", "um", "roc.csv", "roc.csv"),
+])
+def test_printed_point_count_is_the_csv_row_count(corpus_dir, run_dir, tmp_path, capsys,
+                                                  command, mode, out, csv_name):
+    assert run_cli(command, "--checkpoint", os.path.join(run_dir, "best.ckpt"),
+                   "--data", corpus_dir, "--mode", mode, "--out", str(tmp_path / out)) == 0
+    printed = re.search(r"\((\d+) points\)", capsys.readouterr().out)
+    with open(tmp_path / csv_name) as f:
+        data_rows = len(f.read().splitlines()) - 1
+    assert printed is not None and int(printed.group(1)) == data_rows > 3
+
+
 # -- paramcount / gradcheck --------------------------------------------------
 
 def test_paramcount_full_scale(capsys):

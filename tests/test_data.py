@@ -251,6 +251,11 @@ def test_train_batch_random_selection_needs_two_samples():
         assert src == 1 - idx
 
 
+def assert_same_array(got, want):
+    # np.array_equal alone would pass a float64 copy of a float32 array
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_corpus_round_trip(tmp_path):
     # a coverage end with more digits than a short float format keeps
     corpus = build_splits(8, 3, dataset_seed=9, coverage_range=(0.41234567891234, 0.5))
@@ -260,17 +265,17 @@ def test_corpus_round_trip(tmp_path):
     assert loaded.dataset_seed == 9
     assert loaded.samples_per_identity == 3
     assert loaded.coverage_range == corpus.coverage_range
-    assert np.array_equal(loaded.train_identity_ids, corpus.train_identity_ids)
-    assert np.array_equal(loaded.train_unmasked, corpus.train_unmasked)
-    assert np.array_equal(loaded.train_masked, corpus.train_masked)
+    assert_same_array(loaded.train_identity_ids, corpus.train_identity_ids)
+    assert_same_array(loaded.train_unmasked, corpus.train_unmasked)
+    assert_same_array(loaded.train_masked, corpus.train_masked)
     for split in ("val", "test"):
         for side in ("references", "probes"):
             got = getattr(getattr(loaded, split), side)
             want = getattr(getattr(corpus, split), side)
-            assert np.array_equal(got.images, want.images)
-            assert np.array_equal(got.identity_ids, want.identity_ids)
-            assert np.array_equal(got.masked, want.masked)
-            assert np.array_equal(got.sessions, want.sessions)
+            assert_same_array(got.images, want.images)
+            assert_same_array(got.identity_ids, want.identity_ids)
+            assert_same_array(got.masked, want.masked)
+            assert_same_array(got.sessions, want.sessions)
 
 
 def test_manifest_byte_identical_across_writes(tmp_path):

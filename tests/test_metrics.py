@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import oracle_metrics, random_scoreset
+from oracles import oracle_metrics, oracle_rows, random_scoreset
 
 from focusface.data import build_splits
 from focusface.metrics import (
@@ -21,7 +21,7 @@ from focusface.metrics import (
     write_metrics_report,
     write_roc_csv,
 )
-from focusface.model import ToyModel
+from focusface.model import ToyModel, embed_images
 
 REPORT_FIELDS = ("eer", "auc", "fmr100", "fmr10", "gmean", "imean", "threshold_at_eer")
 
@@ -121,22 +121,61 @@ def test_strong_genuine_score_never_hurts_operating_points():
 
 # -- roc points --------------------------------------------------------------
 
+def sweep_cases():
+    """Score sets for the sweep tests: random ones, signed zeros, all-tied
+    sets, and one whose maximum is so large that max + 1.0 rounds to max."""
+    rng = np.random.default_rng(31)
+    cases = [random_scoreset(rng) for _ in range(40)]
+    cases += [([0.0, -0.0, 0.5], [-0.0, 0.0, -0.5]),
+              ([-0.0, -0.0], [0.0]),
+              (rng.choice([-0.0, 0.0, 0.25], 50), rng.choice([-0.0, 0.0, -0.25], 70))]
+    cases += [([v] * 3, [v] * 5) for v in (0.3, -0.0, 2.0**60)]
+    cases.append(([2.0**60, 0.5, 0.1], [2.0**60, 0.2, -3.0]))
+    return cases
+
+
+def test_roc_points_match_oracle_rows_bit_for_bit():
+    for genuine, impostor in sweep_cases():
+        fmr, fnmr, thresholds = roc_points(ScoreSet(genuine, impostor))
+        want_t, want_fmr, want_fnmr = (np.array(c) for c in zip(*oracle_rows(genuine, impostor)))
+        assert fmr.tobytes() == want_fmr.tobytes()
+        assert fnmr.tobytes() == want_fnmr.tobytes()
+        assert thresholds.shape == want_t.shape and np.all(thresholds == want_t)
+
+
+def test_roc_points_do_not_depend_on_score_order():
+    rng = np.random.default_rng(32)
+    for genuine, impostor in sweep_cases():
+        genuine, impostor = np.asarray(genuine, float), np.asarray(impostor, float)
+        curve = roc_points(ScoreSet(genuine, impostor))
+        shuffled = roc_points(ScoreSet(rng.permutation(genuine), rng.permutation(impostor)))
+        for got, want in zip(shuffled, curve):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_roc_points_are_finite_float64_arrays():
+    for genuine, impostor in sweep_cases():
+        points = roc_points(ScoreSet(genuine, impostor))
+        assert len(points) == 3
+        for values in points:
+            assert values.dtype == np.float64 and values.shape == points[2].shape
+            assert np.all(np.isfinite(values))
+
+
 def test_roc_points_shape_and_endpoints():
     rng = np.random.default_rng(8)
     genuine, impostor = random_scoreset(rng)
-    points = roc_points(ScoreSet(genuine, impostor))
+    fmr, _, thresholds = roc_points(ScoreSet(genuine, impostor))
     distinct = len(set(genuine.tolist()) | set(impostor.tolist()))
-    assert len(points) <= distinct + 2
-    fmrs = [p[0] for p in points]
-    assert fmrs[0] == 1.0 and fmrs[-1] == 0.0
-    assert all(a >= b for a, b in zip(fmrs, fmrs[1:]))
-    thresholds = [p[2] for p in points]
-    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert thresholds.size <= distinct + 2
+    assert fmr[0] == 1.0 and fmr[-1] == 0.0
+    assert np.all(fmr[:-1] >= fmr[1:])
+    assert np.all(thresholds[:-1] < thresholds[1:])
 
 
 def test_roc_passes_through_origin_for_perfect_separation():
-    points = roc_points(ScoreSet([0.9, 0.8], [0.1, 0.2]))
-    assert any(fmr == 0.0 and fnmr == 0.0 for fmr, fnmr, _ in points)
+    fmr, fnmr, _ = roc_points(ScoreSet([0.9, 0.8], [0.1, 0.2]))
+    assert np.any((fmr == 0.0) & (fnmr == 0.0))
 
 
 def test_roc_auc_consistent_with_report():
@@ -144,7 +183,8 @@ def test_roc_auc_consistent_with_report():
     for _ in range(10):
         genuine, impostor = random_scoreset(rng)
         scores = ScoreSet(genuine, impostor)
-        points = sorted((fmr, 1.0 - fnmr) for fmr, fnmr, _ in roc_points(scores))
+        fmr, fnmr, _ = roc_points(scores)
+        points = sorted(zip(fmr.tolist(), (1.0 - fnmr).tolist()))
         xs = np.array([p[0] for p in points])
         ys = np.array([p[1] for p in points])
         auc = float(np.trapezoid(ys, xs))
@@ -209,9 +249,13 @@ def test_mask_detection_roc_runs_and_bounds():
     corpus = build_splits(12, 2, dataset_seed=12)
     model = ToyModel.init(seed=1)
     images, labels = split_mask_detection_set(corpus.test)
-    points, auc = mask_detection_roc(model, images, labels)
+    (fmr, fnmr, thresholds), auc = mask_detection_roc(model, images, labels)
     assert 0.0 <= auc <= 1.0
-    assert len(points) >= 2
+    assert thresholds.size >= 2 and fmr.shape == fnmr.shape == thresholds.shape
+    # the AUC comes from the same sweep as the points, with compute_metrics' bits
+    _, probs = embed_images(model, images[:, None])
+    scores = ScoreSet(probs[labels == 1], probs[labels == 0])
+    assert auc == compute_metrics(scores).auc
 
 
 def test_mask_detection_label_inversion_flips_auc():
@@ -240,7 +284,9 @@ def test_roc_csv_format(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["threshold", "fmr", "fnmr"]
     parsed = [(float(t), float(f), float(n)) for t, f, n in rows[1:]]
-    for (t, f, n), (pf, pn, pt) in zip(parsed, roc_points(scores)):
+    fmr, fnmr, thresholds = roc_points(scores)
+    assert len(parsed) == thresholds.size
+    for (t, f, n), pf, pn, pt in zip(parsed, fmr, fnmr, thresholds):
         assert abs(t - pt) <= 1e-8 and abs(f - pf) <= 1e-8 and abs(n - pn) <= 1e-8
 
 
