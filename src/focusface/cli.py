@@ -62,19 +62,21 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="override any config key (repeatable)")
 
 
-def _load(args: argparse.Namespace, extra: dict) -> RunConfig:
-    return load_config(args.config, {**parse_overrides(args.overrides), **extra})
+# every other attribute of a gen-data or train namespace is a config key
+_NOT_KEYS = ("command", "func", "config", "overrides")
+
+
+def _load(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the file, then ``--set``, then every flag given."""
+    flags = {key: value for key, value in vars(args).items()
+             if key not in _NOT_KEYS and value is not None}
+    return load_config(args.config, {**parse_overrides(args.overrides), **flags})
 
 
 # -- subcommands -------------------------------------------------------------
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    extra = {}
-    if args.out is not None:
-        extra["out_dir"] = args.out
-    if args.dataset_seed is not None:
-        extra["dataset_seed"] = args.dataset_seed
-    config = _load(args, extra)
+    config = _load(args)
     if not config.out_dir:
         raise ConfigError("gen-data needs an output directory (--out or out_dir)")
     corpus = build_splits(config.num_identities, config.samples_per_identity,
@@ -89,17 +91,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    extra = {}
-    for attr, value in (("data_dir", args.data), ("out_dir", args.out),
-                        ("init_checkpoint", args.init_checkpoint),
-                        ("seed", args.seed)):
-        if value is not None:
-            extra[attr] = value
-    if args.baseline:
-        extra["baseline"] = True
-    if args.freeze_backbone:
-        extra["freeze_backbone"] = True
-    config = _load(args, extra)
+    config = _load(args)
     if not config.data_dir:
         raise ConfigError("train needs a corpus directory (--data or data_dir)")
     if not config.out_dir:
@@ -252,18 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write a synthetic corpus")
     _add_config_flags(p)
-    p.add_argument("--out", metavar="DIR", help="corpus output directory")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="corpus output directory")
     p.add_argument("--dataset-seed", type=int, metavar="N")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train and keep the best checkpoint")
     _add_config_flags(p)
-    p.add_argument("--data", metavar="DIR", help="corpus directory")
-    p.add_argument("--out", metavar="DIR", help="run output directory")
+    p.add_argument("--data", dest="data_dir", metavar="DIR", help="corpus directory")
+    p.add_argument("--out", dest="out_dir", metavar="DIR", help="run output directory")
     p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--baseline", action="store_true",
+    p.add_argument("--baseline", action="store_const", const=True,
                    help="margin-only training (no mask or contrastive terms)")
-    p.add_argument("--freeze-backbone", action="store_true",
+    p.add_argument("--freeze-backbone", action="store_const", const=True,
                    help="train heads only; requires --init-checkpoint")
     p.add_argument("--init-checkpoint", metavar="FILE",
                    help="start from these weights instead of a fresh init")

@@ -14,7 +14,9 @@ parallel generation cannot change the result.
 
 One generator, ``_cells``, gives the order of every image: manifest rows,
 saved files and the images ``build_splits`` renders and ``load_corpus``
-reads.  One assembler, ``_assemble``, writes such images into a ``Corpus``.
+reads.  One slot generator, ``_slots``, names the array and index of each
+image: ``_assemble`` writes a ``Corpus`` through it, ``save_corpus`` reads
+one through it.
 The manifest header keeps the coverage range at full precision, and
 ``load_corpus`` rejects rows the protocol would not write, or an identity in
 two splits, before it reads an image.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,14 +52,15 @@ _TAG_MASK = 2
 _TAG_BATCH = 4
 
 # per-identity evaluation protocol: session-1 references, session-2/3 probes.
-# Each side gives its variation-seed base and one (masked, session) pair per
-# image; an image's seed is the base plus its position.  Train samples use
-# seeds 0..samples_per_identity-1, below every base.
-EVAL_PROTOCOL = (
-    ("ref", 100_000, ((False, 1),) * 2 + ((True, 1),) * 4),
-    ("probe", 200_000, ((False, 2),) * 2 + ((False, 3),) * 2
-     + ((True, 2),) * 4 + ((True, 3),) * 4),
-)
+# Each side, keyed by its EvalSplit field, gives its manifest role prefix,
+# its variation-seed base and one (masked, session) pair per image; an
+# image's seed is the base plus its position.  Train samples use seeds
+# 0..samples_per_identity-1, below every base.
+EVAL_PROTOCOL = {
+    "references": ("ref", 100_000, ((False, 1),) * 2 + ((True, 1),) * 4),
+    "probes": ("probe", 200_000, ((False, 2),) * 2 + ((False, 3),) * 2
+               + ((True, 2),) * 4 + ((True, 3),) * 4),
+}
 
 
 @dataclass(frozen=True)
@@ -259,50 +262,57 @@ def split_identity_counts(num_identities: int):
 
 
 def _cells(ids: dict, samples: int):
-    """Every corpus image as ``(split, identity, role, masked, index, seed)``.
+    """Every corpus image as ``(split, identity, side, session, masked, index, seed)``.
 
     The one image order, of manifest rows and of the images ``_assemble``
     takes; ``ids`` maps each split name to its identity ids.  Train sample
-    ``s`` is an unmasked then a masked cell, both with seed ``s``.  Eval
-    cells follow EVAL_PROTOCOL: the role is the side and session, ``index``
-    the position within the side, and the seed the side's base plus the
-    position within the identity's layout.
+    ``s`` is an unmasked then a masked cell, both with side ``"train"``,
+    session 0 and seed ``s``.  Eval cells follow EVAL_PROTOCOL: ``side`` is
+    the EvalSplit field, ``index`` the position within the side, and the
+    seed the side's base plus the position within the identity's layout.
     """
     for ident, s, is_masked in itertools.product(ids["train"], range(samples), (False, True)):
-        yield "train", ident, "train", is_masked, s, s
+        yield "train", ident, "train", 0, is_masked, s, s
     for split in ("val", "test"):
-        for side, base, layout in EVAL_PROTOCOL:
+        for side, (_, base, layout) in EVAL_PROTOCOL.items():
             cells = itertools.product(ids[split], enumerate(layout))
             for n, (ident, (k, (is_masked, session))) in enumerate(cells):
-                yield split, ident, f"{side}{session}", is_masked, n, base + k
+                yield split, ident, side, session, is_masked, n, base + k
+
+
+def _slots(corpus: Corpus, cells):
+    """Where each cell's image lives in ``corpus``, as ``(array, index)``."""
+    classes = {ident: k for k, ident in enumerate(corpus.train_identity_ids.tolist())}
+    for split, ident, side, _, is_masked, index, _ in cells:
+        if split == "train":
+            train = corpus.train_masked if is_masked else corpus.train_unmasked
+            yield train, (classes[ident], index)
+        else:
+            yield getattr(getattr(corpus, split), side).images, index
 
 
 def _assemble(images, ids, samples, dataset_seed, coverage_range) -> Corpus:
     """The corpus whose ``_cells`` cells hold ``images``, one each, in order:
-    each (32, 32) image is written into the array and position its cell names,
-    and each eval side's identity, mask and session arrays come from its cells."""
+    each (32, 32) image is written into its cell's ``_slots`` slot, and each
+    eval side's identity, mask and session arrays come from its cells."""
     cells = list(_cells(ids, samples))
-    classes = {ident: k for k, ident in enumerate(ids["train"])}
-    unmasked, masked = (np.empty((len(classes), samples, IMAGE_HW, IMAGE_HW), dtype=np.float32)
-                        for _ in range(2))
-    side_cells = {(split, name): [] for split in ("val", "test") for name, _, _ in EVAL_PROTOCOL}
-    for split, ident, role, is_masked, _, _ in cells:
-        if split != "train":
-            side_cells[split, role[:-1]].append((ident, is_masked, int(role[-1])))
-    sides = {}
-    for key, rows in side_cells.items():
+    unmasked, masked = (np.empty((len(ids["train"]), samples, IMAGE_HW, IMAGE_HW),
+                                 dtype=np.float32) for _ in range(2))
+
+    def eval_side(split, side):
+        rows = [(ident, is_masked, session) for sp, ident, sd, session, is_masked, _, _ in cells
+                if (sp, sd) == (split, side)]
         identities, flags, sessions = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
-        sides[key] = EvalSide(np.empty((len(rows), IMAGE_HW, IMAGE_HW), dtype=np.float32),
-                              identities, flags.astype(bool), sessions)
-    for image, (split, ident, role, is_masked, index, _) in zip(images, cells, strict=True):
-        if split == "train":
-            (masked if is_masked else unmasked)[classes[ident], index] = image
-        else:
-            sides[split, role[:-1]].images[index] = image
-    val, test = (EvalSplit(*(sides[split, name] for name, _, _ in EVAL_PROTOCOL))
+        return EvalSide(np.empty((len(rows), IMAGE_HW, IMAGE_HW), dtype=np.float32),
+                        identities, flags.astype(bool), sessions)
+
+    val, test = (EvalSplit(**{side: eval_side(split, side) for side in EVAL_PROTOCOL})
                  for split in ("val", "test"))
-    return Corpus(dataset_seed, samples, np.array(ids["train"], dtype=np.int64),
-                  unmasked, masked, val, test, coverage_range=coverage_range)
+    corpus = Corpus(dataset_seed, samples, np.array(ids["train"], dtype=np.int64),
+                    unmasked, masked, val, test, coverage_range=coverage_range)
+    for image, (array, index) in zip(images, _slots(corpus, cells), strict=True):
+        array[index] = image
+    return corpus
 
 
 def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
@@ -311,7 +321,7 @@ def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
     """Identity-disjoint train/val/test splits; eval splits hold references
     (session 1) and probes (sessions 2 and 3) with disjoint variation seeds."""
     train_n, val_n, _ = split_identity_counts(num_identities)
-    seed_floor = min(base for _, base, _ in EVAL_PROTOCOL)
+    seed_floor = min(base for _, base, _ in EVAL_PROTOCOL.values())
     if not 0 < samples_per_identity < seed_floor:
         raise ValueError(f"samples_per_identity must be in [1, {seed_floor}), "
                          f"got {samples_per_identity}")
@@ -322,7 +332,7 @@ def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
 
     def images():
         render = lru_cache(maxsize=1)(render_sample)  # a train pair shares one render
-        for _, ident, _, is_masked, _, seed in _cells(ids, samples_per_identity):
+        for _, ident, _, _, is_masked, _, seed in _cells(ids, samples_per_identity):
             img = render(specs[ident], seed)
             if is_masked:
                 img = apply_mask(img, _mask_spec_for(specs[ident], seed, coverage_range))
@@ -392,7 +402,8 @@ def _read_image(path: str) -> np.ndarray:
 
 def _manifest_rows(ids: dict, samples: int):
     """Every manifest row below the header, one per ``_cells`` cell."""
-    for split, ident, role, is_masked, index, _ in _cells(ids, samples):
+    for split, ident, side, session, is_masked, index, _ in _cells(ids, samples):
+        role = "train" if split == "train" else f"{EVAL_PROTOCOL[side][0]}{session}"
         name = f"id{ident:04d}_{role}_{'um'[is_masked]}{index:04d}.f32"
         yield f"images/{split}/{name}\t{ident}\t{int(is_masked)}\t{split}\t{role}"
 
@@ -410,19 +421,9 @@ def save_corpus(corpus: Corpus, outdir: str) -> str:
     rows = list(_manifest_rows(ids, corpus.samples_per_identity))
     for split in ids:
         os.makedirs(os.path.join(outdir, "images", split), exist_ok=True)
-    # each cell's image, read from where _assemble writes it
-    classes = {ident: k for k, ident in enumerate(ids["train"])}
-    sides = {(split, name): getattr(getattr(corpus, split), side.name)
-             for split in ("val", "test")
-             for (name, _, _), side in zip(EVAL_PROTOCOL, fields(EvalSplit))}
-    cells = _cells(ids, corpus.samples_per_identity)
-    for row, (split, ident, role, is_masked, index, _) in zip(rows, cells, strict=True):
-        if split == "train":
-            train = corpus.train_masked if is_masked else corpus.train_unmasked
-            img = train[classes[ident], index]
-        else:
-            img = sides[split, role[:-1]].images[index]
-        _write_image(os.path.join(outdir, row.split("\t", 1)[0]), img)
+    slots = _slots(corpus, _cells(ids, corpus.samples_per_identity))
+    for row, (array, index) in zip(rows, slots, strict=True):
+        _write_image(os.path.join(outdir, row.split("\t", 1)[0]), array[index])
     lo, hi = corpus.coverage_range
     lines = [MANIFEST_MAGIC,
              f"# dataset_seed = {corpus.dataset_seed}",
@@ -435,24 +436,14 @@ def save_corpus(corpus: Corpus, outdir: str) -> str:
     return manifest_path
 
 
-def _header_int(text: str) -> int:
+def _header_int(text: str, lowest: int) -> int:
+    """``text`` as an integer no lower than ``lowest``, which is 0 or 1."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError("expected an integer") from None
-
-
-def _header_non_negative_int(text: str) -> int:
-    value = _header_int(text)
-    if value < 0:
-        raise ValueError("expected a non-negative integer")
-    return value
-
-
-def _header_positive_int(text: str) -> int:
-    value = _header_int(text)
-    if value < 1:
-        raise ValueError("expected a positive integer")
+    if value < lowest:
+        raise ValueError(f"expected a {('non-negative', 'positive')[lowest]} integer")
     return value
 
 
@@ -465,8 +456,8 @@ def _header_coverage_range(text: str) -> tuple:
 
 
 # manifest header field -> parser of its value; other "# ..." lines are comments
-_MANIFEST_FIELDS = {"dataset_seed": _header_non_negative_int,
-                    "samples_per_identity": _header_positive_int,
+_MANIFEST_FIELDS = {"dataset_seed": lambda text: _header_int(text, 0),
+                    "samples_per_identity": lambda text: _header_int(text, 1),
                     "coverage_range": _header_coverage_range}
 
 

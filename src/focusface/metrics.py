@@ -62,9 +62,8 @@ def roc_points(scores: ScoreSet):
     end (``max + 1.0``), and FMR falls.  One sort of all scores does it: each
     run of equal values is a threshold (a zero is written +0.0, whichever
     zero sorted first), its start index counts the scores below it, and a
-    bincount of the genuine scores' runs counts the genuine ones.  Where
-    ``max + 1.0`` rounds back to ``max``, the sentinel row repeats the last
-    threshold's counts.
+    bincount of the genuine scores' runs counts the genuine ones.  The
+    sentinel row has FMR 0: a set whose ``max + 1.0`` is ``max`` is rejected.
     """
     g, i = _checked(scores)
     ranked = np.concatenate([g, i])
@@ -78,11 +77,12 @@ def roc_points(scores: ScoreSet):
     del ranked, run_start  # freed here, not at return, to lower the peak memory
     thresholds += 0.0  # -0.0 + 0.0 is +0.0
     thresholds[-1] += 1.0
+    if thresholds[-1] == thresholds[-2]:
+        raise ValueError(f"score set's largest score {float(thresholds[-2])!r} leaves no "
+                         "threshold above every score: max + 1.0 rounds back to it")
     # genuine_below[k]: genuine scores in the runs before run k
     runs = np.searchsorted(thresholds[:-1], g)
     genuine_below = np.cumsum(np.bincount(runs + 1, minlength=thresholds.size))
-    if thresholds[-1] == thresholds[-2]:
-        genuine_below[-1], below[-1] = genuine_below[-2], below[-2]
     fnmr = genuine_below / g.size
     below -= genuine_below
     fmr = (i.size - below) / i.size

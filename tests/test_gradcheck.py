@@ -3,9 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
+from focusface import checks
 from focusface.autodiff import Tape
 from focusface.checks import (
     ALL_CHECKS,
+    POINTS,
     PreconditionError,
     require_arcface_smooth,
     require_prelu_smooth,
@@ -69,3 +71,34 @@ def test_seed_varies_probe_points_deterministically():
     c = run_check("matmul", seed=4)
     assert a.max_rel_error == b.max_rel_error
     assert a.max_rel_error != c.max_rel_error
+
+
+def test_probe_with_no_testable_point_fails_by_name(monkeypatch):
+    def always_kinked(rng):
+        require_prelu_smooth(np.array([rng.uniform(), 0.0]))
+
+    monkeypatch.setitem(ALL_CHECKS, "always_kinked", always_kinked)
+    with pytest.raises(RuntimeError, match="'always_kinked': no probe point in 64 draws"):
+        run_check("always_kinked")
+
+
+def test_probe_rejected_once_is_tested_on_its_second_draw(monkeypatch):
+    draws, tested = [], []
+
+    def kinked_once(rng):
+        x = rng.uniform(0.3, 1.5, (3, 4))
+        draws.append(x)
+        if len(draws) == 1:
+            raise PreconditionError("first draw rejected")
+        return lambda t, xt: t.sum(t.mul(xt, xt)), [x]
+
+    def recording_grad_check(build_fn, inputs, h):
+        tested.append(inputs[0])
+        return 0.0
+
+    monkeypatch.setitem(ALL_CHECKS, "kinked_once", kinked_once)
+    monkeypatch.setattr(checks, "grad_check", recording_grad_check)
+    assert run_check("kinked_once").passed
+    assert len(draws) == POINTS + 1
+    assert len(tested) == POINTS
+    assert all(x is d for x, d in zip(tested, draws[1:]))

@@ -78,6 +78,18 @@ def test_non_finite_scores_rejected():
         compute_metrics(ScoreSet([0.1, np.nan], [0.0]))
 
 
+@pytest.mark.parametrize("genuine, impostor", [
+    ([2.0**60] * 3, [2.0**60] * 5),
+    ([2.0**60, 0.5, 0.1], [2.0**60, 0.2, -3.0]),
+    ([0.5], [2.0**53]),
+])
+def test_scores_without_a_sentinel_rejected(genuine, impostor):
+    # max + 1.0 rounds back to max, so no threshold lies above every score
+    for sweep in (compute_metrics, roc_points):
+        with pytest.raises(ValueError, match=r"max \+ 1\.0 rounds back"):
+            sweep(ScoreSet(genuine, impostor))
+
+
 # -- oracle equivalence ------------------------------------------------------
 
 def test_matches_brute_force_oracle_on_random_sets():
@@ -123,14 +135,14 @@ def test_strong_genuine_score_never_hurts_operating_points():
 
 def sweep_cases():
     """Score sets for the sweep tests: random ones, signed zeros, all-tied
-    sets, and one whose maximum is so large that max + 1.0 rounds to max."""
+    sets, and one whose maximum is so large that max + 1.0 is the next float."""
     rng = np.random.default_rng(31)
     cases = [random_scoreset(rng) for _ in range(40)]
     cases += [([0.0, -0.0, 0.5], [-0.0, 0.0, -0.5]),
               ([-0.0, -0.0], [0.0]),
               (rng.choice([-0.0, 0.0, 0.25], 50), rng.choice([-0.0, 0.0, -0.25], 70))]
-    cases += [([v] * 3, [v] * 5) for v in (0.3, -0.0, 2.0**60)]
-    cases.append(([2.0**60, 0.5, 0.1], [2.0**60, 0.2, -3.0]))
+    cases += [([v] * 3, [v] * 5) for v in (0.3, -0.0, 2.0**52)]
+    cases.append(([2.0**52, 0.5, 0.1], [2.0**52, 0.2, -3.0]))
     return cases
 
 
