@@ -305,6 +305,9 @@ def main(argv=None) -> int:
         return 1
     except DivergenceError as exc:
         message = f"training diverged, no checkpoint written: {exc}"
+    except MemoryError as exc:
+        # a size setting too large for this machine (batch_size, a corpus)
+        message = f"out of memory: {str(exc) or 'allocation failed'}"
     except (OSError, ValueError) as exc:
         # bad inputs raise these, naming what they reject; others are bugs
         message = str(exc)

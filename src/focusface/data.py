@@ -40,7 +40,6 @@ MAX_SHIFT = 2
 
 MASK_TYPES = ("surgical", "n95", "kn95", "cloth")
 COVERAGE_RANGE = (0.40, 0.55)
-SELECTION_MODES = ("original", "random")
 
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_MAGIC = "# focusface-manifest v1"
@@ -345,7 +344,7 @@ def build_splits(num_identities: int = 33, samples_per_identity: int = 64,
 
 @dataclass
 class PairBatch:
-    """Aligned unmasked/masked pairs of one identity each, flipped together."""
+    """Unmasked and masked copies of the same training samples, flipped together."""
 
     unmasked: np.ndarray  # (B, 1, 32, 32)
     masked: np.ndarray  # (B, 1, 32, 32)
@@ -361,26 +360,18 @@ class PairBatch:
 
 
 def train_batch(corpus: Corpus, iteration: int, batch_size: int,
-                selection: str = "original", seed: int = 0) -> PairBatch:
+                seed: int = 0) -> PairBatch:
     """One seeded pair batch; a pure function of (seed, iteration, corpus)."""
-    if selection not in SELECTION_MODES:
-        raise ValueError(f"selection must be one of {SELECTION_MODES}, got {selection!r}")
     n_ids, n_samples = corpus.train_unmasked.shape[:2]
     if n_ids == 0:
         raise ValueError("corpus has no training identities")
     rng = np.random.default_rng([seed, _TAG_BATCH, iteration])
     ids = rng.integers(0, n_ids, size=batch_size)
     idx = rng.integers(0, n_samples, size=batch_size)
-    if selection == "original":
-        src = idx
-    else:
-        if n_samples < 2:
-            raise ValueError("random selection needs at least 2 samples per identity")
-        src = (idx + 1 + rng.integers(0, n_samples - 1, size=batch_size)) % n_samples
     flips = rng.random(batch_size) < 0.5
 
     unmasked = corpus.train_unmasked[ids, idx]
-    masked = corpus.train_masked[ids, src]
+    masked = corpus.train_masked[ids, idx]
     sel = flips[:, None, None]
     unmasked = np.where(sel, np.flip(unmasked, axis=-1), unmasked)
     masked = np.where(sel, np.flip(masked, axis=-1), masked)

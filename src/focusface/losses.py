@@ -32,8 +32,7 @@ class LossConfig:
     mask-detection cross-entropy inside each branch, ``alpha`` and ``beta``
     weight the contrastive term and the branch pair in the final
     combination.  ``comb_mode`` selects how the final combination is formed
-    (see ``combined_loss``); ``mse_on_normalized`` applies the contrastive
-    term to unit-normalised embeddings instead of raw ones.
+    (see ``combined_loss``).
 
     ``s`` defaults to 4.2, not the paper's 64: 64 was tuned for tens of
     thousands of classes, and at it the margin loss of the 20-class toy
@@ -47,7 +46,6 @@ class LossConfig:
     alpha: float = 1.0 / 3.0
     beta: float = 0.5
     comb_mode: str = "additive"
-    mse_on_normalized: bool = False
 
     def __post_init__(self):
         if self.s <= 0:
@@ -151,19 +149,14 @@ def arcface_loss(tape: Tape, features: Tensor, weights: Tensor, targets,
     return cross_entropy(tape, logits, targets)
 
 
-def contrastive_mse(tape: Tape, emb_unmasked: Tensor, emb_masked: Tensor,
-                    normalize: bool = False) -> Tensor:
-    """Mean squared difference between paired embedding batches."""
+def contrastive_mse(tape: Tape, emb_unmasked: Tensor, emb_masked: Tensor) -> Tensor:
+    """Mean squared difference between paired raw embedding batches."""
     if emb_unmasked.shape != emb_masked.shape:
         raise ShapeError(
             f"contrastive_mse: shapes differ, {emb_unmasked.shape} vs "
             f"{emb_masked.shape}")
-    a, b = emb_unmasked, emb_masked
-    if normalize:
-        a = tape.l2_normalize(a, axis=-1)
-        b = tape.l2_normalize(b, axis=-1)
-    diff = tape.sub(a, b)
-    return tape.scale(tape.sum(tape.mul(diff, diff)), 1.0 / a.data.size)
+    diff = tape.sub(emb_unmasked, emb_masked)
+    return tape.scale(tape.sum(tape.mul(diff, diff)), 1.0 / diff.data.size)
 
 
 def branch_loss(tape: Tape, l_arc: Tensor, l_ce: Tensor, lambda_: float) -> Tensor:

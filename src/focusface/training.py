@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape
-from .data import SELECTION_MODES, Corpus, PairBatch, train_batch
+from .data import Corpus, PairBatch, train_batch
 from .losses import (
     LossConfig,
     arcface_loss,
@@ -42,7 +42,6 @@ class TrainConfig:
     milestones: tuple = (600, 960)
     max_iterations: int = 1200
     eval_interval: int = 100
-    selection_mode: str = "original"
     freeze_backbone: bool = False
     baseline: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
@@ -51,7 +50,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         object.__setattr__(self, "milestones", tuple(int(m) for m in self.milestones))
+        if any(m < 1 for m in self.milestones):
+            raise ValueError(f"milestones must be at least 1, got {self.milestones}")
         if any(a >= b for a, b in zip(self.milestones, self.milestones[1:])):
             raise ValueError(f"milestones must be strictly increasing, got {self.milestones}")
         for name in ("batch_size", "max_iterations", "eval_interval"):
@@ -59,9 +64,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.selection_mode not in SELECTION_MODES:
-            raise ValueError(f"selection_mode must be one of {SELECTION_MODES}, "
-                             f"got {self.selection_mode!r}")
         if not isinstance(self.loss, LossConfig):
             raise ValueError("loss must be a LossConfig")
 
@@ -145,8 +147,7 @@ def build_losses(model: ToyModel, leaves: dict, batch: PairBatch,
     l_u = branch_loss(tape, arc_u, ce_u, loss_config.lambda_)
     l_m = branch_loss(tape, arc_m, ce_m, loss_config.lambda_)
     mse = contrastive_mse(tape, out_u.recognition_embedding,
-                          out_m.recognition_embedding,
-                          normalize=loss_config.mse_on_normalized)
+                          out_m.recognition_embedding)
     comb = combined_loss(tape, mse, l_m, l_u, loss_config.alpha,
                          loss_config.beta, loss_config.comb_mode)
     components = {"arc_u": arc_u.item(), "arc_m": arc_m.item(),
@@ -213,8 +214,7 @@ def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):
     log = []
     evaluable = corpus.val.num_identities >= 2
     for it in range(config.max_iterations):
-        batch = train_batch(corpus, it, config.batch_size,
-                            selection=config.selection_mode, seed=config.seed)
+        batch = train_batch(corpus, it, config.batch_size, seed=config.seed)
         breakdown = train_iteration(state, batch, config)
         log.append(_format_iteration(it, breakdown))
         if evaluable and (it + 1) % config.eval_interval == 0:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from focusface import cli
 from focusface.cli import main
 from focusface.config import (
     ConfigError,
@@ -82,11 +83,17 @@ def test_config_is_frozen_and_hashable():
         config.train.loss.s = 1.0
 
 
-def test_config_unknown_key_named():
+def test_config_unknown_key_named(capsys):
     with pytest.raises(ConfigError, match="no_such_key"):
         parse_config_text("no_such_key = 5")
     with pytest.raises(ConfigError, match="also_bad"):
         parse_overrides(["also_bad=1"])
+    # keys of deleted switches are unknown too, in a file and on the command line
+    with pytest.raises(ConfigError, match="line 2: unknown config key 'selection_mode'"):
+        parse_config_text("seed = 1\nselection_mode = random")
+    assert run_cli("train", "--set", "mse_on_normalized=true") == 2
+    assert capsys.readouterr().err == \
+        "error: unknown config key 'mse_on_normalized'\n"
 
 
 def test_config_bad_values_report_key():
@@ -391,6 +398,23 @@ def test_train_invalid_loop_value_is_one_line_error(corpus_dir, tmp_path, capsys
     assert "batch_size" in err
     with pytest.raises(ConfigError, match="batch_size"):
         load_config(None, {"batch_size": 0})
+
+
+@pytest.mark.parametrize("text", [
+    "Unable to allocate 381. GiB for an array with shape (100000000, 32, 32) "
+    "and data type float32", ""], ids=["numpy-message", "bare"])
+def test_out_of_memory_is_one_line_error(corpus_dir, tmp_path, capsys,
+                                         monkeypatch, text):
+    # stands in for `train --set batch_size=100000000`; no test allocates that
+    def fit(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(cli, "fit", fit)
+    out = tmp_path / "oom"
+    assert run_cli("train", "--data", corpus_dir, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {text or 'allocation failed'}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -212,43 +212,17 @@ def test_train_batch_flip_synchronized():
     batch = train_batch(corpus, 3, 32, seed=3)
     flips = set()
     for (idx, u_flip), (src, m_flip) in batch_sources(corpus, batch):
-        assert src == idx  # original mode
+        assert src == idx  # both members are the same sample
         assert u_flip == m_flip
         flips.add(u_flip)
     assert flips == {False, True}
 
 
-def test_train_batch_random_selection_avoids_anchor():
-    corpus = build_splits(12, 4, dataset_seed=8)
-    batch = train_batch(corpus, 3, 64, selection="random", seed=4)
-    for (idx, _), (src, _) in batch_sources(corpus, batch):
-        assert src != idx
-        assert 0 <= src < corpus.samples_per_identity
-
-
 def test_train_batch_original_shares_top_rows():
     corpus = build_splits(12, 4, dataset_seed=4)
-    batch = train_batch(corpus, 11, 64, selection="original", seed=1)
+    batch = train_batch(corpus, 11, 64, seed=1)
     # worst-case coverage 0.55 -> 18 rows; a flip mirrors both members
     assert np.array_equal(batch.unmasked[:, 0, :13], batch.masked[:, 0, :13])
-
-
-def test_train_batch_random_top_rows_generally_differ():
-    corpus = build_splits(12, 4, dataset_seed=6)
-    batch = train_batch(corpus, 0, 100, selection="random", seed=1)
-    differing = sum(not np.array_equal(u[0, :13], m[0, :13])
-                    for u, m in zip(batch.unmasked, batch.masked))
-    assert differing >= 90
-
-
-def test_train_batch_random_selection_needs_two_samples():
-    with pytest.raises(ValueError, match="at least 2 samples per identity"):
-        train_batch(build_splits(12, 1, dataset_seed=9), 0, 8, selection="random")
-    # with two samples, the masked member is always the other one
-    corpus = build_splits(12, 2, dataset_seed=9)
-    batch = train_batch(corpus, 0, 32, selection="random")
-    for (idx, _), (src, _) in batch_sources(corpus, batch):
-        assert src == 1 - idx
 
 
 def assert_same_array(got, want):

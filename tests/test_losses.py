@@ -1,11 +1,9 @@
-import copy
 import math
 
 import numpy as np
 import pytest
 
 from focusface.autodiff import ShapeError, Tape, grad_check
-from focusface.data import build_splits, train_batch
 from focusface.losses import (
     LossConfig,
     arcface_loss,
@@ -14,8 +12,6 @@ from focusface.losses import (
     contrastive_mse,
     cross_entropy,
 )
-from focusface.model import ToyBackboneConfig, ToyModel
-from focusface.training import TrainConfig, init_state, train_iteration
 
 
 def _scalar(fn):
@@ -193,48 +189,6 @@ def test_mse_positive_iff_different():
         a = rng.normal(size=(2, 6))
         b = a + rng.normal(size=(2, 6)) * 0.1
         assert _scalar(lambda t: contrastive_mse(t, t.leaf(a), t.leaf(b))) > 0
-
-
-def test_mse_normalized_variant():
-    rng = np.random.default_rng(15)
-    a = rng.normal(size=(3, 8))
-    loss = _scalar(lambda t: contrastive_mse(t, t.leaf(a), t.leaf(2.0 * a),
-                                             normalize=True))
-    assert loss < 1e-28  # same direction, so unit-normalised copies coincide
-
-
-def test_mse_normalized_equals_mse_of_unit_rows():
-    rng = np.random.default_rng(16)
-    a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
-    loss = _scalar(lambda t: contrastive_mse(t, t.leaf(a), t.leaf(b),
-                                             normalize=True))
-    unit_a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    unit_b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    assert np.isclose(loss, np.mean((unit_a - unit_b) ** 2), rtol=1e-14, atol=0)
-
-
-def test_mse_normalized_passes_grad_check():
-    rng = np.random.default_rng(17)
-    a, b = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-    err = grad_check(lambda t, x, y: contrastive_mse(t, x, y, normalize=True),
-                     [a, b])
-    assert err <= 1e-6
-
-
-def test_mse_on_normalized_training_step_is_bounded():
-    # unit rows differ by at most 2 in norm, so the mean square over
-    # (batch, d) entries is at most 4 / d; the raw embeddings exceed that
-    corpus = build_splits(20, 8, dataset_seed=7)
-    model = ToyModel.init(ToyBackboneConfig(num_classes=corpus.num_classes), seed=3)
-    batch = train_batch(corpus, 0, 8)
-    bound = 4.0 / model.config.recognition_dim
-    mse = {}
-    for normalize in (True, False):
-        config = TrainConfig(batch_size=8, loss=LossConfig(mse_on_normalized=normalize))
-        state = init_state(copy.deepcopy(model), config)
-        mse[normalize] = train_iteration(state, batch, config)["mse"]
-    assert np.isfinite(mse[True]) and 0.0 <= mse[True] <= bound
-    assert mse[False] > bound
 
 
 # ------------------------------------------------------- branch + combination

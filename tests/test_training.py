@@ -100,8 +100,11 @@ def test_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="milestones"):
         TrainConfig(milestones=(600, 600))
-    with pytest.raises(ValueError, match="selection_mode"):
-        TrainConfig(selection_mode="nearest")
+    for key, value in [("momentum", -1.0), ("momentum", 1.0), ("weight_decay", -1e-4),
+                       ("milestones", (-3, 5)), ("milestones", (0,))]:
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+    TrainConfig(momentum=0.0, weight_decay=0.0, milestones=(1,))
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="LossConfig"):
