@@ -12,10 +12,11 @@ sums them.  Only nodes that a trainable leaf feeds run their rules, so
 inputs (images, a frozen backbone) cost nothing in the reverse pass.
 
 One policy holds for arrays a rule keeps.  A rule may keep an array its
-forward built (the conv2d column matrix, the prelu factor) only when the
-node that array serves needs a gradient, and it drops the array once it
-has run.  So a tape's backward runs once, and a tape that takes no
-gradient, as at inference, keeps nothing beyond its values.
+forward built only when the node that array serves needs a gradient, and
+it drops the array once it has run.  conv2d's column matrix is the only
+such array: prelu's rule rebuilds its factor from its input.  So a tape's
+backward runs once, and a tape that takes no gradient, as at inference,
+keeps nothing beyond its values.
 
 One rule sets a tape's lifetime.  A node stores its backward rule only
 when it needs a gradient.  A stored rule holds its input Tensors and each
@@ -48,9 +49,9 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense n-d array bound to a position on a tape.
 
-    ``data`` is always a numpy array owned by this node; ``node_id`` is the
-    index of the node on its tape.  Tensors are created through ``Tape``
-    methods, never directly.
+    ``data`` is a numpy array in the tape's dtype that no op writes into;
+    ``node_id`` is the index of the node on its tape.  Tensors are created
+    through ``Tape`` methods, never directly.
     """
 
     __slots__ = ("data", "tape", "node_id")
@@ -165,9 +166,14 @@ class Tape:
     # ------------------------------------------------------------------ leaves
 
     def leaf(self, data, trainable: bool = False) -> Tensor:
-        """Record ``data``, copied into the tape's dtype.  Trainable leaves get gradients."""
+        """Record ``data`` in the tape's dtype.  Trainable leaves get gradients.
+
+        An array already C-contiguous in that dtype is recorded as is, not
+        copied, so one array can serve many tapes; no op writes into its
+        inputs, and the caller must not write into it while a tape uses it.
+        """
         # np.array keeps 0-d scalars 0-d (ascontiguousarray would promote them)
-        arr = np.array(data, dtype=self.dtype, order="C", copy=True)
+        arr = np.array(data, dtype=self.dtype, order="C", copy=None)
         out = self._record("leaf", (), None, arr)
         if trainable:
             self.parameters[out.node_id] = arr
@@ -289,27 +295,29 @@ class Tape:
     def prelu(self, x: Tensor, slope: Tensor) -> Tensor:
         """Parametric ReLU with a single trainable scalar slope.
 
-        Both passes multiply by ``_prelu_factor``.  The rule keeps the
-        forward's factor only when ``x`` needs a gradient, and drops it
-        once it has run.
+        The value is ``max(x, a * x)``, or ``min`` for a slope above 1: two
+        passes, equal bit for bit to ``x * _prelu_factor(x, a)``, signed
+        zeros included.  A zero slope takes the factor form, since 0 * inf
+        is nan where the factor form gives inf.  The rule builds the
+        factor from ``x``, which it keeps for the slope gradient anyway, so
+        the forward keeps no array of its own.
         """
         self._check(x), self._check(slope)
         if slope.data.size != 1:
             raise ShapeError(f"prelu: slope must be scalar, got shape {slope.shape}")
         xv = x.data
         a = float(slope.data.reshape(()))
-        factor = _prelu_factor(xv, a)
-        value = xv * factor
-        if not x.needs_grad:
-            factor = None
+        if a == 0:
+            value = xv * _prelu_factor(xv, a)
+        else:
+            # at a tie, numpy's maximum and minimum return the second
+            # argument, so x = +-0 gives a * x, as the factor form does
+            value = (np.minimum if a > 1 else np.maximum)(xv, a * xv)
 
         def backward(g):
-            nonlocal factor
             # minimum(x, 0) may turn a -0.0 input into +0.0; np.sum starts
             # from +0.0, so the sign of a zero term never shows in the total
-            gx = None if factor is None else g * factor
-            factor = None
-            return (gx,
+            return (g * _prelu_factor(xv, a) if x.needs_grad else None,
                     np.sum(g * np.minimum(xv, 0.0)).reshape(slope.data.shape)
                     if slope.needs_grad else None)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,13 +69,18 @@ class IdentitySpec:
     identity_id: int
     base_seed: int
 
+    @cached_property
+    def base_pattern(self) -> np.ndarray:
+        """Drawn on first use and kept as long as this spec, which
+        ``build_splits`` holds for one call only."""
+        return _base_pattern(self.base_seed)
+
 
 def identity_spec(dataset_seed: int, identity_id: int) -> IdentitySpec:
     rng = np.random.default_rng([dataset_seed, _TAG_IDENTITY, identity_id])
     return IdentitySpec(identity_id, int(rng.integers(0, 2**63)))
 
 
-@lru_cache(maxsize=4096)
 def _base_pattern(base_seed: int) -> np.ndarray:
     rng = np.random.default_rng(base_seed)
     # blob rows: ANCHORED_BLOBS stay above every occluder's top edge
@@ -109,7 +114,7 @@ def render_sample(identity: IdentitySpec, variation_seed: int) -> np.ndarray:
     """Base pattern plus seeded jitter, clipped to [-1, 1]."""
     rng = np.random.default_rng([identity.base_seed, int(variation_seed)])
     dr, dc = (int(v) for v in rng.integers(-MAX_SHIFT, MAX_SHIFT + 1, size=2))
-    img = _translate(_base_pattern(identity.base_seed), dr, dc)
+    img = _translate(identity.base_pattern, dr, dc)
     img = img + rng.normal(0.0, NOISE_SIGMA, size=img.shape)
     return np.clip(img, -1.0, 1.0)
 

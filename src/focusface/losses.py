@@ -48,13 +48,13 @@ class LossConfig:
     comb_mode: str = "additive"
 
     def __post_init__(self):
-        if self.s <= 0:
+        if not self.s > 0:
             raise ValueError(f"scale s must be positive, got {self.s}")
         if not 0 <= self.m < math.pi / 2:
             raise ValueError(f"margin m must be in [0, pi/2), got {self.m}")
         for name in ("lambda_", "alpha", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.comb_mode not in COMB_MODES:
             raise ValueError(
                 f"comb_mode must be one of {COMB_MODES}, got {self.comb_mode!r}")

@@ -224,17 +224,22 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
 
     The images are embedded in chunks of EMBED_CHUNK.  Chunks are independent
     forward passes over read-only parameters, so any thread count produces
-    identical results written by chunk index.  The forward runs on a float32
-    tape; both outputs are float64, computed from its float32 activations.
+    identical results written by chunk index.  Each forward runs on a float32
+    tape; the parameters are cast to float32 once per call, and every chunk's
+    tape records those arrays as its leaves.  Both outputs are float64,
+    computed from the float32 activations.
     """
     images = np.asarray(images)
     n = images.shape[0]
     embeddings = np.zeros((n, model.config.recognition_dim))
     mask_probs = np.zeros(n)
+    params = {name: value.astype(np.float32) for name, value in model.params.items()}
 
     def run_chunk(start):
         stop = min(start + EMBED_CHUNK, n)
-        out = model.forward(Tape(np.float32), images[start:stop])
+        tape = Tape(np.float32)
+        leaves = {name: tape.leaf(value) for name, value in params.items()}
+        out = model.forward(tape, images[start:stop], leaves)
         # cast before dividing, so the rows are unit vectors to float64 precision
         emb = out.recognition_embedding.data.astype(np.float64)
         embeddings[start:stop] = emb / np.linalg.norm(emb, axis=1, keepdims=True)

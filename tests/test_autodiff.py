@@ -175,7 +175,7 @@ def test_conv2d_bias_equals_added_bias_bit_for_bit():
 
 
 def test_backward_runs_once_per_tape():
-    # conv2d and prelu drop the arrays they kept once their rules have run
+    # conv2d drops the column matrix it kept once its rule has run
     tape = Tape()
     xt = tape.leaf(np.ones((1, 1, 4, 4)), trainable=True)
     out = tape.conv2d(xt, tape.leaf(np.ones((2, 1, 3, 3)), trainable=True),
@@ -210,36 +210,45 @@ def test_rules_are_kept_only_on_nodes_that_take_a_gradient():
 
 def test_prelu_matches_where_formula_bit_for_bit():
     # the reference is the np.where rule: where(x > 0, x, a * x) forward,
-    # g * where(x > 0, 1, a) and sum(g * where(x > 0, 0, x)) backward;
-    # signed zeros must come out with the same sign
+    # g * where(x > 0, 1, a) and sum(g * where(x > 0, 0, x)) backward, in the
+    # tape's dtype; signed zeros must come out with the same sign, and
+    # x = +inf at slope 0 gives inf, not the nan of max(inf, 0 * inf)
     rng = np.random.default_rng(23)
-    mixed = rng.normal(size=40)
+    # long enough for numpy's vector loops, odd so a scalar tail runs too
+    mixed = rng.normal(size=1003)
     mixed[::5] = 0.0
     mixed[1::5] = -0.0
-    signed_zero_g = rng.normal(size=40)
+    signed_zero_g = rng.normal(size=mixed.size)
     signed_zero_g[2::7] = 0.0
     signed_zero_g[3::7] = -0.0
-    cases = [
-        (mixed, signed_zero_g, 0.25),
-        (mixed, signed_zero_g, -0.5),
+    infinite = np.array([np.inf, -np.inf, 1.5, -0.0, 0.0, -2.0, np.inf])
+    cases = [(mixed, signed_zero_g, a) for a in (-0.5, 0.0, 0.25, 1.0, 1.7)]
+    cases += [(infinite, np.array([1.0, 2.0, -1.0, 0.5, -0.5, 3.0, -2.0]), a)
+              for a in (-0.5, 0.0, 0.25, 1.0, 1.7)]
+    cases += [
         # every slope term is a zero: the sum's sign is the sign of those zeros
         (np.array([-0.0, 0.0, -0.0, 2.0]), np.array([1.0, -1.0, 2.0, -3.0]), 0.25),
         (np.array([-0.0, 0.0, 0.0]), np.array([-1.0, 1.0, -0.0]), 0.25),
     ]
-    for x, g, a in cases:
-        tape = Tape()
-        xt = tape.leaf(x, trainable=True)
-        st = tape.leaf(a, trainable=True)
-        out = tape.prelu(xt, st)
-        # the rule's returned pair is its contribution exactly, sign of zero included
-        grad_x, grad_slope = tape.nodes[out.node_id].backward_fn(g)
-
-        pos = x > 0
-        assert out.data.tobytes() == np.where(pos, x, a * x).tobytes()
-        ref_x = g * np.where(pos, 1.0, a)
-        ref_slope = np.sum(g * np.where(pos, 0.0, x))
-        assert grad_x.tobytes() == ref_x.tobytes()
-        assert grad_slope.tobytes() == ref_slope.tobytes()
+    for dtype in (np.float64, np.float32):
+        for x, g, a in cases:
+            x, g, a = x.astype(dtype), g.astype(dtype), dtype(a)
+            tape = Tape(dtype)
+            xt = tape.leaf(x, trainable=True)
+            st = tape.leaf(a, trainable=True)
+            with np.errstate(invalid="ignore"):  # 0 * -inf is nan on both sides
+                out = tape.prelu(xt, st)
+                # the rule's returned pair is its contribution exactly, sign of zero included
+                grad_x, grad_slope = tape.nodes[out.node_id].backward_fn(g)
+                pos = x > 0
+                ref_value = np.where(pos, x, a * x)
+                ref_x = g * np.where(pos, dtype(1), a)
+                ref_slope = np.sum(g * np.where(pos, dtype(0), x))
+            case = (np.dtype(dtype).name, float(a), x.size)
+            assert out.data.tobytes() == ref_value.tobytes(), case
+            assert out.data.dtype == grad_x.dtype == grad_slope.dtype == dtype, case
+            assert grad_x.tobytes() == ref_x.tobytes(), case
+            assert grad_slope.tobytes() == ref_slope.tobytes(), case
 
 
 def test_backward_sums_returned_gradients_and_owns_leaf_results():

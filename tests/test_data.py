@@ -1,10 +1,12 @@
 """Rendering determinism, occluder behavior, pairing, splits, disk format."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
 
+from focusface import data as data_module
 from focusface.data import (
     COVERAGE_RANGE,
     IMAGE_HW,
@@ -336,6 +338,23 @@ def test_manifest_bytes_are_pinned(tmp_path):
     with open(manifest, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     assert digest == "ca997152ee0125225e0ee231a831f04d9eff99657b0a6ca15e7148cdf7834e7a"
+
+
+def test_build_splits_keeps_no_base_pattern(monkeypatch):
+    # each identity's base pattern is drawn once per call and freed with it
+    patterns = []
+
+    def recorded(base_seed):
+        pattern = base_pattern(base_seed)
+        patterns.append(weakref.ref(pattern))
+        return pattern
+
+    base_pattern = data_module._base_pattern
+    monkeypatch.setattr(data_module, "_base_pattern", recorded)
+    corpus = build_splits(12, 2, dataset_seed=3)
+    assert len(patterns) == 12
+    assert all(alive() is None for alive in patterns)
+    assert corpus.test.probes.images.shape[0] > 0
 
 
 def test_corpus_bytes_are_pinned():

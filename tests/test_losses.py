@@ -284,7 +284,13 @@ def test_loss_config_defaults():
     {"alpha": -1.0},
     {"beta": -0.1},
     {"comb_mode": "product"},
+    # a range check written as `x <= 0` or `x < 0` would let nan through
+    {"s": math.nan},
+    {"lambda_": math.nan},
+    {"alpha": math.nan},
+    {"beta": math.nan},
 ])
 def test_loss_config_validation(kwargs):
-    with pytest.raises(ValueError):
+    (name, value), = kwargs.items()
+    with pytest.raises(ValueError, match=f"{name} must be .*, got {value!r}"):
         LossConfig(**kwargs)

@@ -152,6 +152,24 @@ def test_embed_images_thread_count_irrelevant():
     assert np.all((prob1 > 0) & (prob1 < 1))
 
 
+def test_embed_images_equals_one_forward_per_chunk():
+    # casting the parameters once per call gives each chunk the bits of a
+    # plain float32 forward, which casts them on its own tape
+    model = ToyModel.init(seed=7)
+    images = small_batch(np.random.default_rng(5), n=150)
+    emb, prob = embed_images(model, images)
+    for start in (0, 64, 128):  # chunks of 64, 64 and 22
+        stop = start + 64
+        out = model.forward(Tape(np.float32), images[start:stop])
+        ref = out.recognition_embedding.data.astype(np.float64)
+        ref = ref / np.linalg.norm(ref, axis=1, keepdims=True)
+        logits = out.mask_logits.data.astype(np.float64)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        ref_prob = (e / e.sum(axis=1, keepdims=True))[:, 1]
+        assert emb[start:stop].tobytes() == ref.tobytes()
+        assert prob[start:stop].tobytes() == ref_prob.tobytes()
+
+
 def test_inference_tape_dies_with_its_outputs():
     # no node of an inference tape stores a rule, so nothing closes a cycle
     # back to the tape: reference counting frees it with its last output

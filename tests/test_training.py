@@ -96,8 +96,9 @@ def test_lr_schedule_toy_defaults():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="lr"):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError, match="milestones"):
         TrainConfig(milestones=(600, 600))
     for key, value in [("momentum", -1.0), ("momentum", 1.0), ("weight_decay", -1e-4),
