@@ -8,6 +8,7 @@ model, and prints the exact parameter accounting at both scales.
 import numpy as np
 
 from focusface.data import build_splits, train_batch
+from focusface.metrics import score_pairs
 from focusface.model import ToyBackboneConfig, ToyModel, embed_images, toy_scale_modules
 from focusface.params import full_scale_modules, summarize
 
@@ -44,8 +45,9 @@ for name, split in (("val", corpus.val), ("test", corpus.test)):
 model = ToyModel.init(ToyBackboneConfig(num_classes=corpus.num_classes), seed=0)
 batch = np.stack([unmasked, masked])[:, None]  # (2, 1, 32, 32)
 embeddings, mask_probs = embed_images(model, batch)
+pair = score_pairs(embeddings[:1], [0], embeddings[1:], [0])
 print(f"\nrecognition embeddings: {embeddings.shape}, "
-      f"norms {np.linalg.norm(embeddings, axis=1).round(2)}")
+      f"cosine of the pair {pair.genuine[0]:.4f}")
 print(f"mask-probability of [unmasked, masked]: {mask_probs.round(4)}")
 
 # parameter accounting, exact at both scales

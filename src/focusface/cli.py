@@ -162,13 +162,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     split = _eval_split(args)
     metadata = {"protocol": args.mode, "split": args.split,
                 "checkpoint": args.checkpoint}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    # --out is made only once a file is ready for it: a failed eval leaves none
     if args.mode == "mask-roc":
         images, labels = split_mask_detection_set(split)
         points, auc = mask_detection_roc(model, images, labels)
         print(f"mask-roc {args.split} auc {auc:.10g} ({points[2].size} points)")
         if args.out:
+            os.makedirs(args.out, exist_ok=True)
             csv_path = os.path.join(args.out, f"mask-roc-{args.split}.csv")
             write_roc_csv(points, csv_path)
             print(f"wrote {csv_path}")
@@ -178,6 +178,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
           f"fmr100 {report.fmr100:.10g} fmr10 {report.fmr10:.10g} "
           f"auc {report.auc:.10g}")
     if args.out:
+        os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, f"report-{args.mode}-{args.split}.json")
         write_metrics_report(report, report_path, **metadata)
         print(f"wrote {report_path}")

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .autodiff import NORM_FLOOR
 from .data import EvalSplit
 from .model import ToyModel, embed_images
 
@@ -126,14 +127,18 @@ def compute_metrics(scores: ScoreSet) -> MetricsReport:
 def _normalized_rows(embeddings, side: str) -> np.ndarray:
     embeddings = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(embeddings, axis=1)
-    bad = np.flatnonzero(norms <= 1e-12)
+    bad = np.flatnonzero(norms <= NORM_FLOOR)
     if bad.size:
         raise ValueError(f"{side} {int(bad[0])} has a zero-norm embedding")
     return embeddings / norms[:, None]
 
 
 def score_pairs(ref_embeddings, ref_ids, probe_embeddings, probe_ids) -> ScoreSet:
-    """Cosine scores for every reference x probe pair, split by identity."""
+    """Cosine scores for every reference x probe pair, split by identity.
+
+    The one place embeddings are normalized: a row whose norm is at most
+    ``NORM_FLOOR`` is rejected, naming its side and index.
+    """
     refs = _normalized_rows(ref_embeddings, "reference")
     probes = _normalized_rows(probe_embeddings, "probe")
     sims = np.clip(refs @ probes.T, -1.0, 1.0)

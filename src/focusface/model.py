@@ -180,16 +180,13 @@ class ToyModel:
         return {name: tape.leaf(value, trainable=name in trainable)
                 for name, value in self.params.items()}
 
-    def forward(self, tape: Tape, images: np.ndarray, leaves: dict | None = None) -> DualHeadOutput:
+    def forward(self, tape: Tape, images: np.ndarray, leaves: dict) -> DualHeadOutput:
+        """Both heads on ``images``, reading the parameters from ``leaves`` by name."""
         images = np.asarray(images)
         c, hw = self.config.in_channels, self.config.input_hw
         if images.ndim != 4 or images.shape[1:] != (c, hw, hw):
             raise ShapeError(
                 f"expected images of shape (batch, {c}, {hw}, {hw}), got {images.shape}")
-        if leaves is None:
-            # inference: plain leaves take no gradient, so no node stores a
-            # rule and the tape is freed with the outputs
-            leaves = self.leaves(tape, ())
         x = tape.leaf(images)
         for i, (_, stride) in enumerate(self.config.stages):
             x = tape.conv2d(x, leaves[f"conv{i}.weight"], leaves[f"conv{i}.bias"],
@@ -220,14 +217,16 @@ EMBED_CHUNK = 64
 
 
 def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
-    """Recognition embeddings and masked-class probabilities for a stack of images.
+    """Raw recognition embeddings and masked-class probabilities for a stack of images.
 
     The images are embedded in chunks of EMBED_CHUNK.  Chunks are independent
     forward passes over read-only parameters, so any thread count produces
     identical results written by chunk index.  Each forward runs on a float32
     tape; the parameters are cast to float32 once per call, and every chunk's
-    tape records those arrays as its leaves.  Both outputs are float64,
-    computed from the float32 activations.
+    tape records those arrays as plain leaves, so no node stores a rule and
+    each tape is freed with its outputs.  Both outputs are float64, computed
+    from the float32 activations; the embeddings are not normalized, which
+    ``metrics.score_pairs`` does once, rejecting a zero-norm row by name.
     """
     images = np.asarray(images)
     n = images.shape[0]
@@ -240,9 +239,7 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
         tape = Tape(np.float32)
         leaves = {name: tape.leaf(value) for name, value in params.items()}
         out = model.forward(tape, images[start:stop], leaves)
-        # cast before dividing, so the rows are unit vectors to float64 precision
-        emb = out.recognition_embedding.data.astype(np.float64)
-        embeddings[start:stop] = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+        embeddings[start:stop] = out.recognition_embedding.data
         # a float32 softmax saturates to 1 at a logit gap of about 17
         logits = out.mask_logits.data.astype(np.float64)
         mask_probs[start:stop] = _softmax_rows(logits)[:, 1]
@@ -351,7 +348,7 @@ def load_checkpoint(path: str) -> tuple[ToyModel, int]:
         for name, shape in order:
             size = math.prod(shape)
             chunk = np.frombuffer(body, dtype="<f4", count=size, offset=offset)
-            params[name] = chunk.reshape(shape).astype(np.float64)
+            params[name] = chunk.reshape(shape)
             offset += size * 4
             if not np.isfinite(chunk).all():
                 raise ValueError(f"parameter {name}: {count_entries(~np.isfinite(chunk))}")

@@ -21,6 +21,7 @@ from focusface.config import (
 )
 from focusface.data import load_corpus
 from focusface.losses import LossConfig
+from focusface.metrics import PROTOCOL_MODES
 from focusface.model import (
     ToyBackboneConfig,
     ToyModel,
@@ -621,6 +622,36 @@ def test_eval_mask_roc(corpus_dir, run_dir, tmp_path, capsys):
     with open(os.path.join(out, "mask-roc-test.csv")) as f:
         header = f.readline().strip()
     assert header == "threshold,fmr,fnmr"
+
+
+@pytest.fixture
+def zero_head_checkpoint(run_dir, tmp_path):
+    """A trained checkpoint whose recognition head maps every image to zero."""
+    model, seed = load_checkpoint(os.path.join(run_dir, "final.ckpt"))
+    model.params["recognition.weight"][:] = 0.0
+    model.params["recognition.bias"][:] = 0.0
+    path = str(tmp_path / "zero-head.ckpt")
+    save_checkpoint(model, path, seed=seed)
+    return path
+
+
+@pytest.mark.parametrize("mode", PROTOCOL_MODES)
+def test_eval_zero_norm_embedding_is_one_line_error(corpus_dir, zero_head_checkpoint,
+                                                    tmp_path, capsys, mode):
+    out = tmp_path / "report"
+    assert run_cli("eval", "--checkpoint", zero_head_checkpoint, "--data", corpus_dir,
+                   "--mode", mode, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "has a zero-norm embedding" in err
+    assert not out.exists()
+
+
+def test_eval_mask_roc_needs_no_recognition_head(corpus_dir, zero_head_checkpoint,
+                                                 tmp_path):
+    assert run_cli("eval", "--checkpoint", zero_head_checkpoint, "--data", corpus_dir,
+                   "--mode", "mask-roc", "--out", str(tmp_path / "roc")) == 0
+    assert (tmp_path / "roc" / "mask-roc-test.csv").exists()
 
 
 def test_eval_missing_checkpoint_fails(corpus_dir, tmp_path, capsys):

@@ -10,7 +10,6 @@ from focusface.checks import (
     POINTS,
     PreconditionError,
     require_arcface_smooth,
-    require_prelu_smooth,
     run_all,
     run_check,
 )
@@ -52,12 +51,6 @@ def test_run_all_covers_everything():
     assert all(r.passed for r in results)
 
 
-def test_prelu_kink_probe_rejected():
-    x = np.array([0.5, 0.0, -0.7])
-    with pytest.raises(PreconditionError, match="kink"):
-        require_prelu_smooth(x)
-
-
 def test_arcface_saturated_cosine_rejected():
     features = np.array([[1.0, 0.0]])
     weights = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -75,7 +68,7 @@ def test_seed_varies_probe_points_deterministically():
 
 def test_probe_with_no_testable_point_fails_by_name(monkeypatch):
     def always_kinked(rng):
-        require_prelu_smooth(np.array([rng.uniform(), 0.0]))
+        raise PreconditionError(f"probe at {rng.uniform()} sits on a kink")
 
     monkeypatch.setitem(ALL_CHECKS, "always_kinked", always_kinked)
     with pytest.raises(RuntimeError, match="'always_kinked': no probe point in 64 draws"):
