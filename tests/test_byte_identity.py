@@ -4,9 +4,10 @@ The CLI runs in fresh processes with BLAS on one thread, because the
 training bits depend on the BLAS thread count (README, "Command line").
 On a small generated corpus whose validation split has three identities
 (so best-checkpoint selection runs), it trains a short default run, then
-a frozen-backbone run on top of that run's ``best.ckpt``, and runs
-``gradcheck --seed 0``.  The sha256 of each ``train.log``, ``best.ckpt``,
-``final.ckpt`` and of the gradcheck stdout must equal ``DIGESTS``.
+a frozen-backbone run on top of that run's ``best.ckpt``, scores that
+``best.ckpt`` with ``eval`` in each mode, and runs ``gradcheck --seed 0``.
+The sha256 of each ``train.log``, ``best.ckpt``, ``final.ckpt``, of each
+``eval`` stdout and of the gradcheck stdout must equal ``DIGESTS``.
 
 The digests belong to one numpy and OpenBLAS build (``BUILD``); on any
 other build the test skips and says why.  A change that moves training
@@ -35,6 +36,9 @@ DIGESTS = {
     "frozen_train.log": "74186830db64b0e07e704b49767459868a8594b47443cc5f08372f2f175638ce",
     "frozen_best.ckpt": "84464eb0d6887f1c2c66fddcd6d4e3dbfa77772208ed4a83cbed53f12f7f5ad5",
     "frozen_final.ckpt": "84464eb0d6887f1c2c66fddcd6d4e3dbfa77772208ed4a83cbed53f12f7f5ad5",
+    "eval_um_stdout": "811a9a606f21b7248eeacf6af46e5b2197c3339cdb69461e4928bb232367dc0b",
+    "eval_mm_stdout": "e39354a10e44f799702bd79e4e1b17bb48171c67058a373c08004aa7ba1b1559",
+    "eval_mask-roc_stdout": "cdd264bd7c89a4dfdcd6286a825645fa787b550707db4da9588ebe1ef3415ff3",
     "gradcheck_stdout": "a85636eaa350200399ce08cd8dd0f38f8964591f38473cea97d607a4d5e37b40",
 }
 
@@ -72,6 +76,10 @@ def run_pinned(workdir: str) -> dict:
         for name in ("train.log", "best.ckpt", "final.ckpt"):
             with open(os.path.join(workdir, run, name), "rb") as f:
                 digests[f"{run}_{name}"] = _sha256(f.read())
+    for mode in ("um", "mm", "mask-roc"):
+        stdout = _cli(workdir, "eval", "--checkpoint", os.path.join("full", "best.ckpt"),
+                      "--data", "corpus", "--mode", mode)
+        digests[f"eval_{mode}_stdout"] = _sha256(stdout.encode())
     digests["gradcheck_stdout"] = _sha256(_cli(workdir, "gradcheck", "--seed", "0").encode())
     return digests
 
