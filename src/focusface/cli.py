@@ -106,11 +106,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         config, num_identities=corpus.num_identities,
         samples_per_identity=corpus.samples_per_identity,
         dataset_seed=corpus.dataset_seed, coverage_lo=lo, coverage_hi=hi)
+    # inputs fit would reject, and an unusable --out, fail before --out exists
+    check_fit_inputs(corpus)
     model = None
     if config.init_checkpoint:
         model, _ = load_checkpoint(config.init_checkpoint)
-    # inputs fit would reject, and an unusable --out, fail before --out exists
-    check_fit_inputs(corpus, model)
+        try:
+            check_fit_inputs(corpus, model)
+        except ValueError as exc:
+            raise ValueError(f"{config.init_checkpoint}: {exc}") from None
     created = not os.path.isdir(config.out_dir)
     os.makedirs(config.out_dir, exist_ok=True)
     try:

@@ -31,8 +31,7 @@ class LossConfig:
     ``s`` and ``m`` shape the angular-margin logits, ``lambda_`` weights the
     mask-detection cross-entropy inside each branch, ``alpha`` and ``beta``
     weight the contrastive term and the branch pair in the final
-    combination.  ``comb_mode`` selects how the final combination is formed
-    (see ``combined_loss``).
+    combination, which is additive (see ``combined_loss``).
 
     ``s`` defaults to 4.2, not the paper's 64: 64 was tuned for tens of
     thousands of classes, and at it the margin loss of the 20-class toy
@@ -45,7 +44,6 @@ class LossConfig:
     lambda_: float = 0.1
     alpha: float = 1.0 / 3.0
     beta: float = 0.5
-    comb_mode: str = "additive"
 
     def __post_init__(self):
         if not self.s > 0:
@@ -55,9 +53,6 @@ class LossConfig:
         for name in ("lambda_", "alpha", "beta"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.comb_mode not in COMB_MODES:
-            raise ValueError(
-                f"comb_mode must be one of {COMB_MODES}, got {self.comb_mode!r}")
 
 
 def _as_targets(targets, n: int, batch: int) -> np.ndarray:
@@ -169,10 +164,11 @@ def combined_loss(tape: Tape, l_mse: Tensor, l_masked: Tensor,
                   comb_mode: str = "additive") -> Tensor:
     """Final training loss over both branches plus the contrastive term.
 
-    Additive (default): alpha * mse + beta * (masked + unmasked).
-    Multiplicative: alpha * mse * beta * (masked + unmasked); kept as an
-    option for fidelity experiments, but under a pure product the two
-    constants collapse into one, so additive is the default.
+    Additive (default): alpha * mse + beta * (masked + unmasked), the one
+    combination training uses.  Multiplicative: alpha * mse * beta *
+    (masked + unmasked), under which the two constants collapse into one;
+    no config key selects it, and it stays only while the benchmark names
+    its gradient-check probe.
     """
     if comb_mode not in COMB_MODES:
         raise ValueError(f"comb_mode must be one of {COMB_MODES}, got {comb_mode!r}")

@@ -4,11 +4,15 @@ A small strided conv stack feeds two parallel fully-connected heads: a
 recognition embedding used for verification and margin-softmax training,
 and a mask embedding feeding a 2-way mask/no-mask classifier.  All forward
 passes run on a Tape so the same code path serves training and inference.
-Checkpoints are a text header (format version, seed, config, layer list)
-followed by the flat little-endian float32 parameter arrays in header order.
-Which parameters train is a training run's choice (``TrainConfig``'s
-``freeze_backbone``), not the model's, so the header records no freeze
-mode; the ``frozen = ...`` line earlier versions wrote is ignored on load.
+The architecture is fixed by the module constants below; only the class
+count, which follows the corpus, varies.  Checkpoints are a text header
+(format version, seed, architecture, layer list) followed by the flat
+little-endian float32 parameter arrays in header order.  The header is a
+function of the class count and the seed (``_header``), so the loader
+compares it line by line with the one it would write.  Which parameters
+train is a training run's choice (``TrainConfig``'s ``freeze_backbone``),
+not the model's, so the header records no freeze mode; the ``frozen = ...``
+line earlier versions wrote is the one line the loader skips.
 """
 
 from __future__ import annotations
@@ -16,75 +20,62 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ShapeError, Tape, Tensor
+from .data import IMAGE_HW
 from .params import ARCFACE, BACKBONE, MASK_CLASSIFIER, MASK_HEAD, RECOGNITION_HEAD
 
 CHECKPOINT_MAGIC = "focusface-checkpoint v1"
 
 
+# the fixed architecture; images are (IN_CHANNELS, IMAGE_HW, IMAGE_HW)
+IN_CHANNELS = 1
+STAGES = ((8, 2), (16, 2), (32, 2))  # (out_channels, stride), 3x3 kernels, padding 1
+RECOGNITION_DIM = 64
+MASK_DIM = 8
+FLAT_DIM = STAGES[-1][0] * (IMAGE_HW // 8) ** 2  # three stride-2 stages: 32 -> 4
+
+
 @dataclass(frozen=True)
 class ToyBackboneConfig:
-    """Architecture of the toy model; every field is checkpointed."""
+    """The class count, the one architecture setting; it is checkpointed."""
 
-    input_hw: int = 32
-    in_channels: int = 1
-    stages: tuple = ((8, 2), (16, 2), (32, 2))  # (out_channels, stride), 3x3 kernels
-    recognition_dim: int = 64
-    mask_dim: int = 8
     num_classes: int = 20
 
     def __post_init__(self):
-        if self.recognition_dim < 8:
-            raise ValueError(f"recognition_dim must be >= 8, got {self.recognition_dim}")
-        if self.mask_dim < 2:
-            raise ValueError(f"mask_dim must be >= 2, got {self.mask_dim}")
-        object.__setattr__(self, "stages", tuple((int(c), int(s)) for c, s in self.stages))
-        if self.flat_dim <= 0:
-            raise ValueError("conv stack reduces the input to an empty feature map")
-
-    @property
-    def flat_dim(self) -> int:
-        hw = self.input_hw
-        for _, stride in self.stages:
-            hw = (hw + 2 - 3) // stride + 1  # 3x3 kernel, padding 1
-        return self.stages[-1][0] * hw * hw
+        if self.num_classes < 1:
+            raise ValueError(f"num_classes must be at least 1, got {self.num_classes}")
 
 
 @dataclass
 class DualHeadOutput:
     """Both embeddings and the mask logits from one forward pass."""
 
-    recognition_embedding: Tensor  # (batch, recognition_dim)
-    mask_embedding: Tensor  # (batch, mask_dim)
+    recognition_embedding: Tensor  # (batch, RECOGNITION_DIM)
+    mask_embedding: Tensor  # (batch, MASK_DIM)
     mask_logits: Tensor  # (batch, 2)
 
 
-def _param_layout(config: ToyBackboneConfig):
+def _param_layout(num_classes: int):
     """Ordered (name, shape) pairs; the single source of parameter order."""
+    channels = [IN_CHANNELS] + [cout for cout, _ in STAGES]
     layout = []
-    cin = config.in_channels
-    for i, (cout, _) in enumerate(config.stages):
-        layout += [
-            (f"conv{i}.weight", (cout, cin, 3, 3)),
-            (f"conv{i}.bias", (cout, 1, 1)),
-            (f"conv{i}.slope", ()),
-        ]
-        cin = cout
-    flat = config.flat_dim
-    layout += [
-        ("recognition.weight", (flat, config.recognition_dim)),
-        ("recognition.bias", (config.recognition_dim,)),
-        ("mask.weight", (flat, config.mask_dim)),
-        ("mask.bias", (config.mask_dim,)),
-        ("mask_classifier.weight", (config.mask_dim, 2)),
+    for i, (cin, cout) in enumerate(zip(channels, channels[1:])):
+        layout += [(f"conv{i}.weight", (cout, cin, 3, 3)),
+                   (f"conv{i}.bias", (cout, 1, 1)),
+                   (f"conv{i}.slope", ())]
+    return layout + [
+        ("recognition.weight", (FLAT_DIM, RECOGNITION_DIM)),
+        ("recognition.bias", (RECOGNITION_DIM,)),
+        ("mask.weight", (FLAT_DIM, MASK_DIM)),
+        ("mask.bias", (MASK_DIM,)),
+        ("mask_classifier.weight", (MASK_DIM, 2)),
         ("mask_classifier.bias", (2,)),
-        ("arcface.weight", (config.recognition_dim, config.num_classes)),
+        ("arcface.weight", (RECOGNITION_DIM, num_classes)),
     ]
-    return layout
 
 
 # parameter-name prefix -> module row; every conv* parameter is backbone
@@ -95,7 +86,7 @@ _HEAD_ROWS = {"recognition": RECOGNITION_HEAD, "mask": MASK_HEAD,
 def toy_scale_modules(config: ToyBackboneConfig = ToyBackboneConfig()) -> dict:
     """Parameter count of each module row, summed from the live layout."""
     counts = dict.fromkeys((BACKBONE, *_HEAD_ROWS.values()), 0)
-    for name, shape in _param_layout(config):
+    for name, shape in _param_layout(config.num_classes):
         prefix = name.split(".")[0]
         row = BACKBONE if prefix.startswith("conv") else _HEAD_ROWS[prefix]
         counts[row] += math.prod(shape)
@@ -153,19 +144,16 @@ class ToyModel:
 
     def __init__(self, config: ToyBackboneConfig, params: dict):
         self.config = config
-        layout = _param_layout(config)
-        expected = [name for name, _ in layout]
-        if list(params) != expected:
-            raise ValueError(f"parameter names {list(params)} do not match layout {expected}")
-        for name, shape in layout:
-            if params[name].shape != shape:
-                raise ShapeError(f"{name} has shape {params[name].shape}, expected {shape}")
+        layout = _param_layout(config.num_classes)
+        got = [(name, np.shape(value)) for name, value in params.items()]
+        if got != layout:
+            raise ShapeError(f"parameters (name, shape) {got} do not match the layout {layout}")
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     @classmethod
     def init(cls, config: ToyBackboneConfig = ToyBackboneConfig(), seed: int = 0) -> "ToyModel":
         params = {}
-        for index, (name, shape) in enumerate(_param_layout(config)):
+        for index, (name, shape) in enumerate(_param_layout(config.num_classes)):
             rng = np.random.default_rng([seed, index])
             params[name] = _init_param(name, shape, rng)
         return cls(config, params)
@@ -183,12 +171,11 @@ class ToyModel:
     def forward(self, tape: Tape, images: np.ndarray, leaves: dict) -> DualHeadOutput:
         """Both heads on ``images``, reading the parameters from ``leaves`` by name."""
         images = np.asarray(images)
-        c, hw = self.config.in_channels, self.config.input_hw
-        if images.ndim != 4 or images.shape[1:] != (c, hw, hw):
-            raise ShapeError(
-                f"expected images of shape (batch, {c}, {hw}, {hw}), got {images.shape}")
+        if images.ndim != 4 or images.shape[1:] != (IN_CHANNELS, IMAGE_HW, IMAGE_HW):
+            raise ShapeError(f"expected images of shape (batch, {IN_CHANNELS}, "
+                             f"{IMAGE_HW}, {IMAGE_HW}), got {images.shape}")
         x = tape.leaf(images)
-        for i, (_, stride) in enumerate(self.config.stages):
+        for i, (_, stride) in enumerate(STAGES):
             x = tape.conv2d(x, leaves[f"conv{i}.weight"], leaves[f"conv{i}.bias"],
                             stride=stride, padding=1)
             x = tape.prelu(x, leaves[f"conv{i}.slope"])
@@ -196,8 +183,7 @@ class ToyModel:
         # renormalize features to norm sqrt(dim): head inputs stay scale-stable
         # no matter how far SGD drifts the conv weights, so the margin-softmax
         # and the raw-embedding MSE both see bounded magnitudes
-        feats = tape.scale(tape.l2_normalize(flat),
-                           float(np.sqrt(self.config.flat_dim)))
+        feats = tape.scale(tape.l2_normalize(flat), float(np.sqrt(FLAT_DIM)))
         recognition = tape.add(tape.matmul(feats, leaves["recognition.weight"]),
                                leaves["recognition.bias"])
         mask_embedding = tape.add(tape.matmul(feats, leaves["mask.weight"]),
@@ -205,12 +191,6 @@ class ToyModel:
         mask_logits = tape.add(tape.matmul(mask_embedding, leaves["mask_classifier.weight"]),
                                leaves["mask_classifier.bias"])
         return DualHeadOutput(recognition, mask_embedding, mask_logits)
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 EMBED_CHUNK = 64
@@ -230,7 +210,7 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
     """
     images = np.asarray(images)
     n = images.shape[0]
-    embeddings = np.zeros((n, model.config.recognition_dim))
+    embeddings = np.zeros((n, RECOGNITION_DIM))
     mask_probs = np.zeros(n)
     params = {name: value.astype(np.float32) for name, value in model.params.items()}
 
@@ -242,7 +222,8 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
         embeddings[start:stop] = out.recognition_embedding.data
         # a float32 softmax saturates to 1 at a logit gap of about 17
         logits = out.mask_logits.data.astype(np.float64)
-        mask_probs[start:stop] = _softmax_rows(logits)[:, 1]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        mask_probs[start:stop] = e[:, 1] / e.sum(axis=1)
 
     starts = range(0, n, EMBED_CHUNK)
     if threads > 1:
@@ -256,26 +237,26 @@ def embed_images(model: ToyModel, images: np.ndarray, threads: int = 1):
 
 # -- checkpoint io -----------------------------------------------------------
 
+def _header(num_classes: int, seed: int) -> list:
+    """The checkpoint header's lines, format tag to ``end-header``."""
+    stages = ",".join(f"{c}:{s}" for c, s in STAGES)
+    return [CHECKPOINT_MAGIC, f"seed = {seed}", f"input_hw = {IMAGE_HW}",
+            f"in_channels = {IN_CHANNELS}", f"stages = {stages}",
+            f"recognition_dim = {RECOGNITION_DIM}", f"mask_dim = {MASK_DIM}",
+            f"num_classes = {num_classes}",
+            *(f"param {name} {' '.join(map(str, shape)) or 'scalar'}"
+              for name, shape in _param_layout(num_classes)),
+            "end-header"]
+
+
 def save_checkpoint(model: ToyModel, path: str, seed: int = 0) -> None:
     """Text header then flat little-endian float32 arrays in header order."""
-    config = model.config
-    lines = [CHECKPOINT_MAGIC, f"seed = {seed}"]
-    for field in fields(ToyBackboneConfig):
-        value = getattr(config, field.name)
-        if field.name == "stages":
-            value = ",".join(f"{c}:{s}" for c, s in value)
-        lines.append(f"{field.name} = {value}")
-    for name, value in model.params.items():
-        dims = " ".join(str(d) for d in value.shape) if value.ndim else "scalar"
-        lines.append(f"param {name} {dims}")
-    lines.append("end-header")
-    header = ("\n".join(lines) + "\n").encode("ascii")
-    blobs = [np.ascontiguousarray(v, dtype="<f4").tobytes() for v in model.params.values()]
+    header = "".join(line + "\n" for line in _header(model.config.num_classes, seed))
+    payload = b"".join(np.ascontiguousarray(v, dtype="<f4").tobytes()
+                       for v in model.params.values())
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        f.write(header.encode("ascii") + payload)
     os.replace(tmp, path)
 
 
@@ -284,74 +265,55 @@ def count_entries(bad: np.ndarray, what: str = "inf or nan") -> str:
     return f"{int(np.count_nonzero(bad))} of {bad.size} entries are {what}"
 
 
-def _parse_stages(text: str) -> tuple:
-    """The header's ``stages`` field, ``8:2,16:2,...``, as (channels, stride) pairs."""
-    stages = []
-    for part in text.split(","):
-        pair = part.split(":")
-        if len(pair) != 2 or not all(x.isdigit() and int(x) > 0 for x in pair):
-            raise ValueError(f"stages field: {part!r} is not a channels:stride pair "
-                             "of positive integers")
-        stages.append((int(pair[0]), int(pair[1])))
-    return tuple(stages)
-
-
-def _parse_int(name: str, text: str) -> int:
-    """An integer header field, or a ValueError naming it."""
+def _header_int(values: dict, name: str) -> int:
+    """The integer header field ``name``, or a ValueError naming it."""
+    if name not in values:
+        raise ValueError(f"header lacks field {name}")
     try:
-        return int(text)
+        return int(values[name])
     except ValueError:
-        raise ValueError(f"{name} field: {text!r} is not an integer") from None
+        raise ValueError(f"{name} field: {values[name]!r} is not an integer") from None
 
 
 def load_checkpoint(path: str) -> tuple[ToyModel, int]:
     """Rebuild the model from a checkpoint; returns (model, recorded seed).
 
-    A malformed file of any kind raises a ValueError that names it.
+    Only ``seed`` and ``num_classes`` are read from the header; every other
+    line must be the one ``save_checkpoint`` writes for them.  A malformed
+    file of any kind raises a ValueError that names it.
     """
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        end = raw.find(b"end-header\n")
-        if not raw.startswith(CHECKPOINT_MAGIC.encode()) or end < 0:
+        end = raw.find(b"\nend-header\n") + 1
+        if not raw.startswith(CHECKPOINT_MAGIC.encode()) or end == 0:
             raise ValueError("not a recognized checkpoint file")
-        header = raw[:end].decode("ascii").splitlines()[1:]
+        # (line number, line) up to end-header, less older files' frozen line
+        lines = [(n, line) for n, line in
+                 enumerate(raw[:end + len(b"end-header")].decode("ascii").split("\n"), 1)
+                 if not line.startswith("frozen = ")]
+        values = dict(line.split(" = ", 1) for _, line in lines if " = " in line)
+        seed = _header_int(values, "seed")
+        config = ToyBackboneConfig(_header_int(values, "num_classes"))
+        # each list ends at its only end-header line, so a missing or an
+        # extra line shows as a difference within the shorter list
+        for (n, got), want in zip(lines, _header(config.num_classes, seed)):
+            if got != want:
+                raise ValueError(f"header line {n} reads {got!r}, expected {want!r}")
         body = raw[end + len(b"end-header\n"):]
-        values = {}
-        order = []
-        for line in header:
-            if line.startswith("param "):
-                _, name, *dims = line.split()
-                shape = () if dims == ["scalar"] else tuple(
-                    _parse_int(f"param {name}", d) for d in dims)
-                order.append((name, shape))
-            elif " = " in line:
-                key, value = line.split(" = ", 1)
-                values[key] = value
-        # seed has a default and the architecture fields do not; other
-        # lines (older files' "frozen = ...") are ignored
-        names = [field.name for field in fields(ToyBackboneConfig)]
-        missing = [name for name in names if name not in values]
-        if missing:
-            raise ValueError(f"header lacks field(s) {', '.join(missing)}")
-        config = ToyBackboneConfig(**{
-            name: _parse_stages(values[name]) if name == "stages"
-            else _parse_int(name, values[name])
-            for name in names})
-        if order != _param_layout(config):
-            raise ValueError("header param lines do not match its architecture fields")
-        expected = 4 * sum(math.prod(shape) for _, shape in order)
+        layout = _param_layout(config.num_classes)
+        expected = 4 * sum(math.prod(shape) for _, shape in layout)
         if len(body) != expected:
             raise ValueError(f"holds {len(body)} payload bytes, expected {expected}")
         params = {}
         offset = 0
-        for name, shape in order:
+        for name, shape in layout:
             size = math.prod(shape)
             chunk = np.frombuffer(body, dtype="<f4", count=size, offset=offset)
             params[name] = chunk.reshape(shape)
             offset += size * 4
             if not np.isfinite(chunk).all():
                 raise ValueError(f"parameter {name}: {count_entries(~np.isfinite(chunk))}")
-        return ToyModel(config, params), _parse_int("seed", values.get("seed", "0"))
+        return ToyModel(config, params), seed
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

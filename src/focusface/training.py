@@ -148,8 +148,7 @@ def build_losses(model: ToyModel, leaves: dict, batch: PairBatch,
     l_m = branch_loss(tape, arc_m, ce_m, loss_config.lambda_)
     mse = contrastive_mse(tape, out_u.recognition_embedding,
                           out_m.recognition_embedding)
-    comb = combined_loss(tape, mse, l_m, l_u, loss_config.alpha,
-                         loss_config.beta, loss_config.comb_mode)
+    comb = combined_loss(tape, mse, l_m, l_u, loss_config.alpha, loss_config.beta)
     components = {"arc_u": arc_u.item(), "arc_m": arc_m.item(),
                   "ce_u": ce_u.item(), "ce_m": ce_m.item(), "mse": mse.item()}
     return comb, components
@@ -189,14 +188,27 @@ def _format_eval(iteration: int, report) -> str:
 
 
 def check_fit_inputs(corpus: Corpus, model: ToyModel | None = None) -> None:
-    """Raise ValueError unless ``fit`` can train ``model``, or a fresh one, on ``corpus``."""
+    """Raise ValueError unless ``fit`` can train ``model``, or a fresh one, on ``corpus``.
+
+    A starting model whose first step would hand ``l2_normalize`` a zero
+    vector (an all-zero recognition head or class column) is rejected too.
+    """
     if corpus.num_classes < 2:
         raise ValueError(f"training needs at least 2 training identities, the corpus "
                          f"has {corpus.num_classes}")
-    if model is not None and corpus.num_classes != model.config.num_classes:
+    if model is None:
+        return
+    if corpus.num_classes != model.config.num_classes:
         raise ValueError(
             f"model expects {model.config.num_classes} classes, corpus has "
             f"{corpus.num_classes} training identities")
+    params = model.params
+    if not (params["recognition.weight"].any() or params["recognition.bias"].any()):
+        raise ValueError("parameters recognition.weight and recognition.bias are all "
+                         "zero, so every recognition embedding is zero")
+    zero = np.flatnonzero(~params["arcface.weight"].any(axis=0))
+    if zero.size:
+        raise ValueError(f"parameter arcface.weight: class column {zero[0]} is all zero")
 
 
 def fit(config: TrainConfig, corpus: Corpus, model: ToyModel | None = None):

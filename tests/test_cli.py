@@ -95,6 +95,10 @@ def test_config_unknown_key_named(capsys):
     assert run_cli("train", "--set", "mse_on_normalized=true") == 2
     assert capsys.readouterr().err == \
         "error: unknown config key 'mse_on_normalized'\n"
+    with pytest.raises(ConfigError, match="line 1: unknown config key 'comb_mode'"):
+        parse_config_text("comb_mode = additive\nseed = 1")
+    assert run_cli("train", "--set", "comb_mode=multiplicative") == 2
+    assert capsys.readouterr().err == "error: unknown config key 'comb_mode'\n"
 
 
 def test_config_bad_values_report_key():
@@ -325,6 +329,28 @@ def test_non_finite_checkpoint_is_one_line_error(corpus_dir, run_dir, tmp_path,
     assert err.startswith("error:") and err.count("\n") == 1
     assert "nan.ckpt: parameter recognition.weight: 1 of " in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("zeroed,where,named", [
+    (("recognition.weight", "recognition.bias"), np.s_[...],
+     "parameters recognition.weight and recognition.bias are all zero, "
+     "so every recognition embedding is zero"),
+    (("arcface.weight",), np.s_[:, 3], "parameter arcface.weight: class column 3 is all zero"),
+], ids=["zero-recognition-head", "zero-class-column"])
+def test_train_untrainable_checkpoint_is_one_line_error(corpus_dir, run_dir, tmp_path,
+                                                        capsys, zeroed, where, named):
+    # the first step would hand l2_normalize a zero vector; eval still
+    # scores the zero-column file, so only train rejects it
+    model, seed = load_checkpoint(os.path.join(run_dir, "final.ckpt"))
+    for name in zeroed:
+        model.params[name][where] = 0.0
+    path = str(tmp_path / "zero.ckpt")
+    save_checkpoint(model, path, seed=seed)
+    out = tmp_path / "o"
+    assert run_cli("train", "--data", corpus_dir, "--init-checkpoint", path,
+                   "--out", str(out), *FAST) == 2
+    assert capsys.readouterr().err == f"error: {path}: {named}\n"
+    assert not out.exists()
 
 
 def test_train_missing_corpus_fails(tmp_path, capsys):

@@ -272,7 +272,6 @@ def test_loss_config_defaults():
     assert cfg.s == 4.2 and cfg.m == 0.5
     assert cfg.lambda_ == 0.1
     assert abs(cfg.alpha - 1 / 3) < 1e-15 and cfg.beta == 0.5
-    assert cfg.comb_mode == "additive"
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -283,8 +282,8 @@ def test_loss_config_defaults():
     {"lambda_": -0.5},
     {"alpha": -1.0},
     {"beta": -0.1},
-    {"comb_mode": "product"},
     # a range check written as `x <= 0` or `x < 0` would let nan through
+    {"m": math.nan},
     {"s": math.nan},
     {"lambda_": math.nan},
     {"alpha": math.nan},

@@ -1,5 +1,6 @@
 """Forward-pass behavior, parameter accounting, checkpoint io."""
 
+import dataclasses
 import gc
 import re
 import weakref
@@ -17,7 +18,7 @@ from focusface.model import (
     save_checkpoint,
     toy_scale_modules,
 )
-from focusface.params import BACKBONE, summarize
+from focusface.params import ARCFACE, BACKBONE, summarize
 from focusface.training import TrainConfig, init_state
 
 
@@ -105,14 +106,15 @@ def test_live_counts_match_descriptor_table():
 
 
 def test_nondefault_config_counts_match():
-    config = ToyBackboneConfig(input_hw=24, in_channels=3, stages=((4, 2), (12, 1)),
-                               recognition_dim=16, mask_dim=4, num_classes=7)
+    # the class count is the one setting; it sizes only the class matrix
+    config = ToyBackboneConfig(num_classes=7)
     counts = toy_scale_modules(config)
     summary = summarize(counts)
     model = ToyModel.init(config, seed=0)
     assert model.total_count() == summary.scratch_total
-    conv = sum(p.size for n, p in model.params.items() if n.startswith("conv"))
-    assert counts[BACKBONE] == conv == (4 * 3 * 9 + 4 + 1) + (12 * 4 * 9 + 12 + 1)
+    assert counts[ARCFACE] == model.params["arcface.weight"].size == 64 * 7
+    assert {row: n for row, n in counts.items() if row != ARCFACE} == \
+        {row: n for row, n in toy_scale_modules().items() if row != ARCFACE}
     assert frozen_trainable(model)[1] == summary.frozen_trainable
 
 
@@ -138,12 +140,10 @@ def test_normalized_recognition_embedding_unit_norm():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="mask_dim"):
-        ToyBackboneConfig(mask_dim=1)
-    with pytest.raises(ValueError, match="recognition_dim"):
-        ToyBackboneConfig(recognition_dim=4)
-    with pytest.raises(ValueError, match="empty feature map"):
-        ToyBackboneConfig(input_hw=0)
+    assert [f.name for f in dataclasses.fields(ToyBackboneConfig)] == ["num_classes"]
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"num_classes must be at least 1, got {count}"):
+            ToyBackboneConfig(num_classes=count)
 
 
 def test_embed_images_thread_count_irrelevant():
@@ -306,14 +306,19 @@ def test_checkpoint_missing_header_field_named(tmp_path):
         load_checkpoint(str(path))
 
 
+# every line but seed and num_classes is compared with the one the writer
+# would put there, so each edit below is reported by its line number
 @pytest.mark.parametrize("line,edited,named", [
-    (b"stages = 8:2,16:2,32:2", b"stages = 8:2,16", "stages field: '16' is not a channels:stride"),
-    (b"stages = 8:2,16:2,32:2", b"stages = 8:0,16:2,32:2", "stages field: '8:0' is not"),
+    (b"stages = 8:2,16:2,32:2", b"stages = 8:2,16",
+     "header line 5 reads 'stages = 8:2,16', expected 'stages = 8:2,16:2,32:2'"),
+    (b"stages = 8:2,16:2,32:2", b"stages = 8:0,16:2,32:2",
+     "header line 5 reads 'stages = 8:0,16:2,32:2', expected 'stages = 8:2,16:2,32:2'"),
     (b"param conv0.weight 8 1 3 3", b"param conv0.weight -8 1 3 3", ""),
     (b"seed = 9", b"seed = one", "seed field: 'one' is not an integer"),
-    (b"mask_dim = 8", b"mask_dim = 8.0", "mask_dim field: '8.0' is not an integer"),
+    (b"mask_dim = 8", b"mask_dim = 8.0",
+     "header line 7 reads 'mask_dim = 8.0', expected 'mask_dim = 8'"),
     (b"param conv0.bias 8 1 1", b"param conv0.bias 8 1 x",
-     "param conv0.bias field: 'x' is not an integer"),
+     "header line 10 reads 'param conv0.bias 8 1 x', expected 'param conv0.bias 8 1 1'"),
 ], ids=["stages", "zero-stride", "negative-dimension", "seed", "mask_dim", "param-dimension"])
 def test_checkpoint_malformed_header_named(tmp_path, line, edited, named):
     path = tmp_path / "m.ckpt"
@@ -322,6 +327,21 @@ def test_checkpoint_malformed_header_named(tmp_path, line, edited, named):
     assert line in raw
     path.write_bytes(raw.replace(line, edited))
     with pytest.raises(ValueError, match=r"m\.ckpt: " + re.escape(named)):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_checkpoint_class_count_below_one_named(tmp_path, count):
+    # the header and the payload agree on a (64, count) class matrix
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ToyModel.init(seed=9), str(path), seed=9)
+    raw = path.read_bytes()
+    raw = raw[:len(raw) - 4 * 64 * (20 - count)]
+    raw = raw.replace(b"num_classes = 20\n", b"num_classes = %d\n" % count)
+    path.write_bytes(raw.replace(b"param arcface.weight 64 20\n",
+                                 b"param arcface.weight 64 %d\n" % count))
+    with pytest.raises(ValueError,
+                       match=rf"m\.ckpt: num_classes must be at least 1, got {count}$"):
         load_checkpoint(str(path))
 
 

@@ -1,6 +1,6 @@
 """Parameter-count rules, full-scale totals, and the toy table."""
 
-from focusface.model import ToyBackboneConfig, toy_scale_modules
+from focusface.model import FLAT_DIM, toy_scale_modules
 from focusface.params import (
     ARCFACE,
     BACKBONE,
@@ -121,10 +121,7 @@ def test_num_classes_consistent_with_arcface_total():
 
 def test_toy_flat_dim():
     # 32 -> 16 -> 8 -> 4 with stride-2 3x3 convs, padding 1
-    assert ToyBackboneConfig().flat_dim == 32 * 4 * 4
-    # 31 -> 16 -> 8 -> 4 and 32 -> 32 -> 16 -> 8: odd sizes round up
-    assert ToyBackboneConfig(input_hw=31).flat_dim == 32 * 4 * 4
-    assert ToyBackboneConfig(stages=((8, 1), (16, 2), (4, 2))).flat_dim == 4 * 8 * 8
+    assert FLAT_DIM == 32 * 4 * 4
 
 
 def test_toy_module_rows_have_expected_shapes():
